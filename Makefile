@@ -14,10 +14,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrency-sensitive packages: the lock-free allocator and the
-# parallel experiment runner.
+# The concurrency-sensitive packages: the lock-free allocator, the
+# parallel experiment runner, and the fleet coordinator, whose host
+# groups write EPT state (populated bitmaps included) between barriers
+# while the coordinator's scorer reads it at barriers.
 race:
-	$(GO) test -race ./internal/llfree ./internal/runner
+	$(GO) test -race ./internal/llfree ./internal/runner ./internal/ept ./internal/cluster
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"math/bits"
+
 	"hyperalloc"
+	"hyperalloc/internal/ept"
 	"hyperalloc/internal/guest"
+	"hyperalloc/internal/llfree"
 	"hyperalloc/internal/mem"
 	"hyperalloc/internal/vmm"
 )
@@ -114,15 +118,33 @@ func ReclaimableBytes(vm *hyperalloc.VM) uint64 {
 	}
 	var frames uint64
 	for _, z := range vm.Guest.Zones() {
-		adapter, ok := z.Impl.(*guest.LLFreeAdapter)
-		if !ok {
-			continue
+		if adapter, ok := z.Impl.(*guest.LLFreeAdapter); ok {
+			// Read-only: the guest's handle aliases the same shared words
+			// a Share()d monitor handle would, without allocating one.
+			frames += zoneReclaimable(vm.EPT, adapter.A, vmm.ZoneArea(z, 0))
 		}
-		shared := adapter.A.Share()
-		shared.ScanFreeHuge(func(area uint64) bool {
-			frames += vm.EPT.AreaMapped(vmm.ZoneArea(z, area))
-			return true
-		})
 	}
 	return frames * mem.PageSize
+}
+
+// zoneReclaimable returns the EPT-mapped frames of a zone's fully free,
+// non-evicted huge areas; base is the zone's first guest-physical area.
+// It is a word-level AND of two dense bitmaps, 64 areas per word: the
+// EPT's populated-area bitmap and LLFree's free-huge mask, built from its
+// packed area entries only where the EPT word is non-zero. Only areas set
+// in both are summed, so the cost follows the populated words, not every
+// area.
+func zoneReclaimable(t *ept.Table, a *llfree.Alloc, base uint64) uint64 {
+	var frames uint64
+	for w := uint64(0); w < a.FreeHugeWords(); w++ {
+		first := base + w*64
+		pop := t.PopulatedMask(first)
+		if pop == 0 {
+			continue
+		}
+		for m := a.FreeHugeMask(w) & pop; m != 0; m &= m - 1 {
+			frames += t.AreaMapped(first + uint64(bits.TrailingZeros64(m)))
+		}
+	}
+	return frames
 }

@@ -62,7 +62,7 @@ func (m *Mechanism) ReclaimableEstimate() uint64 {
 	defer m.mu.Unlock()
 	var freeHuge uint64
 	for _, zs := range m.zones {
-		zs.shared.ScanFreeHuge(func(uint64) bool { freeHuge++; return true })
+		freeHuge += zs.shared.FreeHugeNonEvicted()
 	}
 	return freeHuge*mem.HugeSize + m.vm.Guest.CacheBytes()
 }

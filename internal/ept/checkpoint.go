@@ -69,6 +69,7 @@ func (t *Table) RestoreState(st *TableState) error {
 	for i := range t.areas {
 		t.areas[i] = area{}
 	}
+	clear(t.populated)
 	for _, as := range st.Areas {
 		if as.Idx >= uint64(len(t.areas)) {
 			return fmt.Errorf("ept: restore: area %d out of range", as.Idx)
@@ -78,6 +79,9 @@ func (t *Table) RestoreState(st *TableState) error {
 			bitmap:     append([]uint64(nil), as.Bitmap...),
 			dirty:      append([]uint64(nil), as.Dirty...),
 			dirtyCount: as.DirtyCount,
+		}
+		if as.Mapped != 0 {
+			t.setPopulated(as.Idx)
 		}
 	}
 	t.mappedFrames = st.MappedFrames

@@ -20,6 +20,12 @@ type Table struct {
 	frames uint64
 	areas  []area
 
+	// populated holds one bit per area, set iff the area's mapped count
+	// is non-zero. It is derived from areas (rebuilt on restore, never
+	// serialised) and updated only when a count crosses zero, so scans
+	// for populated areas read one word per 64 areas.
+	populated []uint64
+
 	mappedFrames uint64
 
 	// Operation counters.
@@ -94,7 +100,7 @@ type area struct {
 // unmapped.
 func New(frames uint64) *Table {
 	areas := (frames + mem.FramesPerHuge - 1) / mem.FramesPerHuge
-	return &Table{frames: frames, areas: make([]area, areas)}
+	return &Table{frames: frames, areas: make([]area, areas), populated: make([]uint64, (areas+63)/64)}
 }
 
 // Frames returns the number of guest frames covered.
@@ -115,6 +121,30 @@ func (t *Table) AreaMapped(areaIdx uint64) uint64 {
 		return 0
 	}
 	return uint64(t.areas[areaIdx].mapped)
+}
+
+// PopulatedMask returns the populated bits of the 64 areas starting at
+// fromArea, which need not be 64-aligned: bit i is set iff area
+// fromArea+i has at least one mapped frame. Areas beyond the table read
+// as unpopulated.
+func (t *Table) PopulatedMask(fromArea uint64) uint64 {
+	w, s := fromArea/64, fromArea%64
+	if w >= uint64(len(t.populated)) {
+		return 0
+	}
+	m := t.populated[w] >> s
+	if s != 0 && w+1 < uint64(len(t.populated)) {
+		m |= t.populated[w+1] << (64 - s)
+	}
+	return m
+}
+
+func (t *Table) setPopulated(areaIdx uint64) {
+	t.populated[areaIdx/64] |= 1 << (areaIdx % 64)
+}
+
+func (t *Table) clearPopulated(areaIdx uint64) {
+	t.populated[areaIdx/64] &^= 1 << (areaIdx % 64)
 }
 
 // AreaFullyMapped reports whether every frame of the area is populated.
@@ -139,6 +169,9 @@ func (t *Table) MapHuge(areaIdx uint64) (uint64, error) {
 	a := &t.areas[areaIdx]
 	n := t.areaFrames(areaIdx)
 	newly := n - uint64(a.mapped)
+	if a.mapped == 0 {
+		t.setPopulated(areaIdx)
+	}
 	a.huge = true
 	a.fragmented = false
 	a.mapped = uint16(n)
@@ -165,6 +198,9 @@ func (t *Table) UnmapHuge(areaIdx uint64) (uint64, error) {
 	}
 	a := &t.areas[areaIdx]
 	was := uint64(a.mapped)
+	if was != 0 {
+		t.clearPopulated(areaIdx)
+	}
 	a.huge = false
 	a.mapped = 0
 	a.bitmap = nil
@@ -205,6 +241,9 @@ func (t *Table) MapBase(pfn mem.PFN) (bool, error) {
 		return false, nil
 	}
 	a.bitmap[w] |= 1 << b
+	if a.mapped == 0 {
+		t.setPopulated(p / mem.FramesPerHuge)
+	}
 	a.mapped++
 	t.mappedFrames++
 	if t.tracking {
@@ -253,6 +292,9 @@ func (t *Table) UnmapBase(pfn mem.PFN) (bool, error) {
 	a.bitmap[w] &^= 1 << b
 	a.fragmented = true
 	a.mapped--
+	if a.mapped == 0 {
+		t.clearPopulated(p / mem.FramesPerHuge)
+	}
 	t.mappedFrames--
 	t.clearDirty(a, p)
 	if t.tp != nil {
@@ -319,9 +361,16 @@ func (t *Table) FaultBase(pfn mem.PFN) (bool, error) {
 // covers exactly the area's frames with no bitmap and no fragmented flag
 // (MapHuge heals fragmentation, and a split always clears huge); a base-
 // mapped area's counter equals the bitmap popcount with no bits beyond the
-// tail; and mappedFrames equals the per-area sum. Returns the first
-// violation found, nil if consistent.
+// tail; each area's populated bit equals mapped > 0, with no bits beyond
+// the last area; and mappedFrames equals the per-area sum. Returns the
+// first violation found, nil if consistent.
 func (t *Table) Validate() error {
+	if want := (len(t.areas) + 63) / 64; len(t.populated) != want {
+		return fmt.Errorf("ept: populated bitmap has %d words, want %d", len(t.populated), want)
+	}
+	if tail := len(t.areas) % 64; tail != 0 && t.populated[len(t.populated)-1]>>tail != 0 {
+		return fmt.Errorf("ept: populated bits set beyond area %d", len(t.areas)-1)
+	}
 	var total, dirtyTotal uint64
 	for i := range t.areas {
 		a := &t.areas[i]
@@ -352,6 +401,9 @@ func (t *Table) Validate() error {
 			if pop != uint64(a.mapped) {
 				return fmt.Errorf("ept: area %d: mapped=%d but bitmap popcount=%d", i, a.mapped, pop)
 			}
+		}
+		if bit := t.populated[i/64]>>(i%64)&1 != 0; bit != (a.mapped > 0) {
+			return fmt.Errorf("ept: area %d: populated bit %v but mapped=%d", i, bit, a.mapped)
 		}
 		total += uint64(a.mapped)
 		if err := t.validateDirty(uint64(i), n); err != nil {

@@ -232,3 +232,68 @@ func TestPropertyMappedConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPopulatedMask pins the populated-area window at unaligned offsets
+// across a word boundary and past the end of the table.
+func TestPopulatedMask(t *testing.T) {
+	tb := New(130*mem.FramesPerHuge + 9) // 131 areas, partial tail
+	for _, area := range []uint64{0, 63, 64, 100, 130} {
+		if _, err := tb.MapHuge(area); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tb.MapBase(mem.PFN(70*mem.FramesPerHuge + 5)); err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range []uint64{0, 1, 37, 63, 64, 99, 127, 130, 131, 500} {
+		var want uint64
+		for i := uint64(0); i < 64; i++ {
+			if tb.AreaMapped(from+i) > 0 {
+				want |= 1 << i
+			}
+		}
+		if got := tb.PopulatedMask(from); got != want {
+			t.Errorf("PopulatedMask(%d) = %#x, want %#x", from, got, want)
+		}
+	}
+	if _, err := tb.UnmapRange(mem.PFN(60*mem.FramesPerHuge), 11*mem.FramesPerHuge, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.PopulatedMask(60); got != 1<<40 {
+		t.Errorf("after UnmapRange: PopulatedMask(60) = %#x, want area 100 only", got)
+	}
+}
+
+// TestValidateCatchesPopulatedDrift corrupts the derived populated bitmap
+// in every way Validate must report — a missing bit, a stray bit, a bit
+// past the last area, a truncated bitmap — and expects a violation, not
+// a panic.
+func TestValidateCatchesPopulatedDrift(t *testing.T) {
+	build := func() *Table {
+		tb := New(70*mem.FramesPerHuge + 3) // 71 areas: two bitmap words
+		if _, err := tb.MapHuge(2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.MapBase(mem.PFN(66 * mem.FramesPerHuge)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return tb
+	}
+	for name, corrupt := range map[string]func(*Table){
+		"missing":   func(tb *Table) { tb.populated[0] &^= 1 << 2 },
+		"stray":     func(tb *Table) { tb.populated[0] |= 1 << 5 },
+		"tail-word": func(tb *Table) { tb.populated[1] &^= 1 << 2 },
+		"beyond":    func(tb *Table) { tb.populated[1] |= 1 << 7 },
+		"truncated": func(tb *Table) { tb.populated = tb.populated[:1] },
+		"nil":       func(tb *Table) { tb.populated = nil },
+	} {
+		tb := build()
+		corrupt(tb)
+		if err := tb.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted a corrupt populated bitmap", name)
+		}
+	}
+}

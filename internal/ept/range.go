@@ -76,6 +76,7 @@ func (t *Table) MapRange(pfn mem.PFN, frames uint64) (uint64, error) {
 		if a.bitmap == nil {
 			a.bitmap = make([]uint64, mem.FramesPerHuge/64)
 		}
+		wasEmpty := a.mapped == 0
 		forEachMaskedWord(p, aEnd, func(w, mask uint64) {
 			newBits := mask &^ a.bitmap[w]
 			if newBits == 0 {
@@ -97,6 +98,9 @@ func (t *Table) MapRange(pfn mem.PFN, frames uint64) (uint64, error) {
 				t.dirtyFrames += dc
 			}
 		})
+		if wasEmpty && a.mapped != 0 {
+			t.setPopulated(ai)
+		}
 		p = aEnd
 	}
 	t.mappedFrames += newly
@@ -152,6 +156,7 @@ func (t *Table) UnmapRange(pfn mem.PFN, frames uint64, cleared func(pfn mem.PFN,
 			continue
 		}
 		base := ai * mem.FramesPerHuge
+		wasPopulated := a.mapped != 0
 		forEachMaskedWord(p, aEnd, func(w, mask uint64) {
 			clearedBits := a.bitmap[w] & mask
 			if clearedBits == 0 {
@@ -174,6 +179,9 @@ func (t *Table) UnmapRange(pfn mem.PFN, frames uint64, cleared func(pfn mem.PFN,
 				emitRuns(clearedBits, base+w*64, cleared)
 			}
 		})
+		if wasPopulated && a.mapped == 0 {
+			t.clearPopulated(ai)
+		}
 		p = aEnd
 	}
 	t.mappedFrames -= was

@@ -1,9 +1,6 @@
 package hostmem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // VMState is one VM's serialized pool accounting.
 type VMState struct {
@@ -52,14 +49,8 @@ func (p *Pool) State() *PoolState {
 		SwapOutBytes: p.SwapOutBytes,
 		SwapInBytes:  p.SwapInBytes,
 	}
-	names := make([]string, 0, len(p.vms))
-	for name := range p.vms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		e := p.vms[name]
-		st.VMs = append(st.VMs, VMState{Name: name, RSS: e.rss, Tier: uint8(e.tier), Swapped: e.swapped})
+	for _, e := range p.order {
+		st.VMs = append(st.VMs, VMState{Name: e.name, RSS: e.rss, Tier: uint8(e.tier), Swapped: e.swapped})
 	}
 	for t := Tier(0); t < NumTiers; t++ {
 		st.Backends[t] = BackendState{Stored: p.backends[t].Stored(), Traffic: p.backends[t].Traffic()}
@@ -80,11 +71,15 @@ func (p *Pool) RestoreState(st *PoolState) error {
 	p.SwapOutBytes = st.SwapOutBytes
 	p.SwapInBytes = st.SwapInBytes
 	p.vms = make(map[string]*entry, len(st.VMs))
+	p.order = make([]*entry, 0, len(st.VMs))
 	for _, v := range st.VMs {
 		if Tier(v.Tier) >= NumTiers {
 			return fmt.Errorf("hostmem: restore: vm %q on unknown tier %d", v.Name, v.Tier)
 		}
-		p.vms[v.Name] = &entry{rss: v.RSS, tier: Tier(v.Tier), swapped: v.Swapped}
+		if _, dup := p.vms[v.Name]; dup {
+			return fmt.Errorf("hostmem: restore: vm %q listed twice", v.Name)
+		}
+		p.insert(&entry{name: v.Name, rss: v.RSS, tier: Tier(v.Tier), swapped: v.Swapped})
 	}
 	for t := Tier(0); t < NumTiers; t++ {
 		rb, ok := p.backends[t].(restorableBackend)

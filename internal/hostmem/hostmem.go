@@ -13,18 +13,20 @@ package hostmem
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"hyperalloc/internal/costmodel"
 	"hyperalloc/internal/trace"
 )
 
-// entry is one VM's unified accounting record: resident bytes, the tier
-// its future evictions land on, and its swapped-out bytes per tier
-// (debt drains lowest-tier-first on swap-in). One struct per VM — RSS
-// and swap can never disagree about which VMs exist.
+// entry is one VM's unified accounting record: its name, resident bytes,
+// the tier its future evictions land on, and its swapped-out bytes per
+// tier (debt drains lowest-tier-first on swap-in). One struct per VM —
+// RSS and swap can never disagree about which VMs exist.
 type entry struct {
+	name    string
 	rss     uint64
 	tier    Tier
 	swapped [NumTiers]uint64
@@ -42,11 +44,16 @@ func (e *entry) debt() uint64 {
 // Pool is the host memory pool.
 type Pool struct {
 	capacity    uint64
-	vms         map[string]*entry
 	backends    [NumTiers]Backend
 	defaultTier Tier
 	total       uint64
 	peak        uint64
+
+	// vms finds a VM's entry by name; order holds the same entries
+	// sorted by name, so the per-swap scans (victim choice, freeable
+	// bytes) walk a slice in a fixed order instead of ranging the map.
+	vms   map[string]*entry
+	order []*entry
 
 	// SwapOutBytes / SwapInBytes count host swap traffic over the pool's
 	// lifetime, summed across tiers.
@@ -118,9 +125,9 @@ func (p *Pool) SetBackend(t Tier, b Backend) {
 	if b == nil {
 		panic("hostmem: SetBackend(nil)")
 	}
-	for vm, e := range p.vms {
+	for _, e := range p.order {
 		if e.swapped[t] != 0 {
-			panic(fmt.Sprintf("hostmem: SetBackend(%s) with %d bytes of %q stored", t, e.swapped[t], vm))
+			panic(fmt.Sprintf("hostmem: SetBackend(%s) with %d bytes of %q stored", t, e.swapped[t], e.name))
 		}
 	}
 	p.backends[t] = b
@@ -164,10 +171,35 @@ func (p *Pool) TierOf(vm string) Tier {
 func (p *Pool) ent(vm string) *entry {
 	e := p.vms[vm]
 	if e == nil {
-		e = &entry{tier: p.defaultTier}
-		p.vms[vm] = e
+		e = &entry{name: vm, tier: p.defaultTier}
+		p.insert(e)
 	}
 	return e
+}
+
+// insert registers an entry under its name in both the map and the
+// name-sorted order.
+func (p *Pool) insert(e *entry) {
+	p.vms[e.name] = e
+	i, _ := p.orderIndex(e.name)
+	p.order = slices.Insert(p.order, i, e)
+}
+
+// unlink removes a registered VM's entry from both the map and the
+// order.
+func (p *Pool) unlink(vm string) {
+	delete(p.vms, vm)
+	if i, ok := p.orderIndex(vm); ok {
+		p.order = slices.Delete(p.order, i, i+1)
+	}
+}
+
+// orderIndex returns the position of the VM's entry in the name-sorted
+// order, or where it would be inserted, and whether it is there.
+func (p *Pool) orderIndex(vm string) (int, bool) {
+	return slices.BinarySearchFunc(p.order, vm, func(e *entry, name string) int {
+		return strings.Compare(e.name, name)
+	})
 }
 
 // Adjust changes the RSS of the named VM by delta bytes (negative to
@@ -328,9 +360,9 @@ func (p *Pool) discard(e *entry, t Tier, b uint64) {
 func (p *Pool) swapOut(faulter string, need uint64, io *IO) uint64 {
 	var freed uint64
 	for freed < need {
-		name, victim := p.pickVictim(faulter)
+		victim := p.pickVictim(faulter)
 		if victim == nil {
-			name, victim = faulter, p.vms[faulter]
+			victim = p.vms[faulter]
 		}
 		if victim == nil || victim.rss == 0 {
 			break
@@ -352,7 +384,7 @@ func (p *Pool) swapOut(faulter string, need uint64, io *IO) uint64 {
 			p.tp.outCounter(t).Add(take)
 			p.tp.total.Set(int64(p.total))
 			p.tp.track.Instant("swap_out",
-				trace.String("faulter", faulter), trace.String("victim", name),
+				trace.String("faulter", faulter), trace.String("victim", victim.name),
 				trace.String("tier", t.String()), trace.Uint("bytes", take))
 		}
 	}
@@ -360,19 +392,19 @@ func (p *Pool) swapOut(faulter string, need uint64, io *IO) uint64 {
 }
 
 // pickVictim returns the largest-RSS VM other than the faulter (nil if
-// none has resident pages), breaking ties on the smaller name.
-func (p *Pool) pickVictim(faulter string) (string, *entry) {
-	name := ""
+// none has resident pages), breaking ties on the smaller name: entries
+// are name-sorted, so the first of equal RSS is kept.
+func (p *Pool) pickVictim(faulter string) *entry {
 	var best *entry
-	for vm, e := range p.vms {
-		if vm == faulter || e.rss == 0 {
+	for _, e := range p.order {
+		if e.rss == 0 || e.name == faulter {
 			continue
 		}
-		if best == nil || e.rss > best.rss || (e.rss == best.rss && vm < name) {
-			name, best = vm, e
+		if best == nil || e.rss > best.rss {
+			best = e
 		}
 	}
-	return name, best
+	return best
 }
 
 // maxFreeable returns the pool capacity that full eviction of every VM
@@ -381,7 +413,7 @@ func (p *Pool) pickVictim(faulter string) (string, *entry) {
 // telescope to the same total).
 func (p *Pool) maxFreeable() uint64 {
 	var n uint64
-	for _, e := range p.vms {
+	for _, e := range p.order {
 		b := p.backends[e.tier]
 		n += e.rss - (b.Charge(e.swapped[e.tier]+e.rss) - b.Charge(e.swapped[e.tier]))
 	}
@@ -415,7 +447,7 @@ func (p *Pool) Remove(vm string) (rss, swapped uint64) {
 				p.discard(e, t, e.swapped[t])
 			}
 		}
-		delete(p.vms, vm)
+		p.unlink(vm)
 		p.total -= rss
 	}
 	if p.tp != nil {
@@ -444,8 +476,9 @@ func (p *Pool) Rename(from, to string) error {
 	if _, ok := p.vms[to]; ok {
 		return fmt.Errorf("hostmem: rename: vm %q already registered", to)
 	}
-	p.vms[to] = e
-	delete(p.vms, from)
+	p.unlink(from)
+	e.name = to
+	p.insert(e)
 	if p.tp != nil {
 		p.tp.track.Instant("rename", trace.String("from", from), trace.String("to", to))
 	}
@@ -480,7 +513,7 @@ func (p *Pool) Registered(vm string) bool {
 // TotalSwapped returns the swapped-out bytes across all VMs and tiers.
 func (p *Pool) TotalSwapped() uint64 {
 	var n uint64
-	for _, e := range p.vms {
+	for _, e := range p.order {
 		n += e.debt()
 	}
 	return n
@@ -515,11 +548,10 @@ func (p *Pool) Capacity() uint64 { return p.capacity }
 // VMs returns the registered VM names, sorted. Every entry counts —
 // including VMs whose RSS is fully on swap.
 func (p *Pool) VMs() []string {
-	names := make([]string, 0, len(p.vms))
-	for n := range p.vms {
-		names = append(names, n)
+	names := make([]string, len(p.order))
+	for i, e := range p.order {
+		names[i] = e.name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -533,11 +565,23 @@ func (p *Pool) ResetPeak() { p.peak = p.total }
 // the swap ledger balances (swap-ins plus pages still on swap never
 // exceed the bytes ever swapped out; releases may cancel swap debt
 // without a swap-in, so this is an inequality). Returns the first
-// violation found, nil if consistent.
+// violation found, nil if consistent. It also checks that the name-sorted
+// order holds exactly the registered entries.
 func (p *Pool) Validate() error {
+	if len(p.order) != len(p.vms) {
+		return fmt.Errorf("hostmem: %d VMs in the sorted order, %d registered", len(p.order), len(p.vms))
+	}
+	for i, e := range p.order {
+		if p.vms[e.name] != e {
+			return fmt.Errorf("hostmem: ordered entry %q is not the registered one", e.name)
+		}
+		if i > 0 && p.order[i-1].name >= e.name {
+			return fmt.Errorf("hostmem: order not sorted at %q", e.name)
+		}
+	}
 	var want uint64
 	var perTier [NumTiers]uint64
-	for _, e := range p.vms {
+	for _, e := range p.order {
 		want += e.rss
 		for t := Tier(0); t < NumTiers; t++ {
 			perTier[t] += e.swapped[t]

@@ -2,6 +2,8 @@ package hostmem
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -388,5 +390,81 @@ func TestRenameRegistersZeroRSSVM(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refVictim is the map-ranging victim choice the name-sorted scan
+// replaced: largest RSS other than the faulter, ties on the smaller name.
+func refVictim(p *Pool, faulter string) string {
+	name := ""
+	var best *entry
+	for vm, e := range p.vms {
+		if vm == faulter || e.rss == 0 {
+			continue
+		}
+		if best == nil || e.rss > best.rss || (e.rss == best.rss && vm < name) {
+			name, best = vm, e
+		}
+	}
+	return name
+}
+
+// TestSortedOrderMatchesMap drives a seeded mix of grows, releases,
+// swap-ins, renames and removals over VMs with colliding RSS values, and
+// after every step checks that the victim choice equals the map-ranging
+// reference for every possible faulter, that VMs() is sorted, and that
+// Validate (which checks order/map agreement) passes.
+func TestSortedOrderMatchesMap(t *testing.T) {
+	p := NewPool(4096)
+	p.SetTier("vm3", TierZswap)
+	rng := rand.New(rand.NewSource(9))
+	name := func() string { return fmt.Sprintf("vm%d", rng.Intn(8)) }
+	for step := 0; step < 3000; step++ {
+		vm := name()
+		switch rng.Intn(6) {
+		case 0, 1:
+			_, _ = p.Adjust(vm, int64(rng.Intn(8)+1)*64)
+		case 2:
+			if have := p.RSS(vm) + p.Swapped(vm); have > 0 {
+				_, _ = p.Adjust(vm, -int64(uint64(rng.Int63n(int64(have)))+1))
+			}
+		case 3:
+			_, _ = p.SwapIn(vm, uint64(rng.Intn(512)))
+		case 4:
+			_ = p.Rename(vm, name()) // fails harmlessly on unknown/taken names
+		case 5:
+			if rng.Intn(4) == 0 {
+				p.Remove(vm)
+			}
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if !sort.StringsAreSorted(p.VMs()) {
+			t.Fatalf("step %d: VMs() not sorted: %v", step, p.VMs())
+		}
+		for i := -1; i < 8; i++ {
+			faulter := fmt.Sprintf("vm%d", i)
+			got := ""
+			if e := p.pickVictim(faulter); e != nil {
+				got = e.name
+			}
+			if want := refVictim(p, faulter); got != want {
+				t.Fatalf("step %d: faulter %s: victim %q, reference %q", step, faulter, got, want)
+			}
+		}
+	}
+	if p.SwapOutBytes == 0 {
+		t.Fatal("the mix never swapped: victim choice untested")
+	}
+}
+
+func TestRestoreRejectsDuplicateVM(t *testing.T) {
+	p := NewPool(0)
+	adjust(t, p, "a", 10)
+	st := p.State()
+	st.VMs = append(st.VMs, st.VMs[0])
+	if err := NewPool(0).RestoreState(st); err == nil {
+		t.Fatal("restore accepted a VM listed twice")
 	}
 }

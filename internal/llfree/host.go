@@ -1,6 +1,10 @@
 package llfree
 
-import "fmt"
+import (
+	"fmt"
+
+	"hyperalloc/internal/mem"
+)
 
 // Host-side (hypervisor) operations over the shared allocator state.
 // These implement the guest-visible half of HyperAlloc's reclamation state
@@ -116,9 +120,63 @@ func (a *Alloc) Evicted(area uint64) bool {
 // snapshot is racy by design; the subsequent Reclaim* CAS is what decides.
 func (a *Alloc) ScanFreeHuge(fn func(area uint64) bool) {
 	a.forEachAreaEntry(func(area uint64, e uint16) bool {
-		if !a.fullAreaFree(e, area) || areaEvicted(e) {
+		if !idleHuge(e) || a.tailFrames(area) != mem.FramesPerHuge {
 			return true
 		}
 		return fn(area)
 	})
 }
+
+// An idle area entry is fully free, not huge-allocated and not evicted:
+// counter 512 with A=0 and E=0. Together with a full-size area this is
+// the one definition of a reclaimable huge frame; idleHuge tests one
+// entry, FreeHugeMask four packed entries at once.
+const (
+	idleMask  = areaCounterMask | areaHugeFlag | areaEvictedFlag
+	idleEntry = mem.FramesPerHuge
+)
+
+func idleHuge(e uint16) bool { return e&idleMask == idleEntry }
+
+// Lane constants for testing the four 16-bit entries of one areaIdx
+// word at once (SWAR).
+const (
+	lanes     = 0x0001_0001_0001_0001
+	laneState = lanes * idleMask
+	laneIdle  = lanes * idleEntry
+	laneLow   = lanes * 0x7fff
+	laneHigh  = lanes * 0x8000
+)
+
+// FreeHugeMask returns the areas [64·word, 64·word+64) that ScanFreeHuge
+// would report, as a bitmask: bit i is set iff area 64·word+i is a fully
+// free, non-evicted, full-size huge frame. It reads 16 packed words —
+// one atomic load per four areas — and is the word-at-a-time form of the
+// monitor's scan, racy in the same way. Words beyond the allocator read
+// as zero.
+func (a *Alloc) FreeHugeMask(word uint64) uint64 {
+	first := word * 16
+	if first >= uint64(len(a.areaIdx)) {
+		return 0
+	}
+	last := min(first+16, uint64(len(a.areaIdx)))
+	var mask uint64
+	for i := first; i < last; i++ {
+		// A lane of x is zero iff the entry is idle. Lanes are at most
+		// 0x0fff, so adding 0x7fff sets a lane's top bit iff the lane is
+		// non-zero, without carrying into the next lane.
+		x := a.areaIdx[i].Load()&laneState ^ laneIdle
+		z := ^(x + laneLow) & laneHigh
+		nib := z>>15&1 | z>>30&2 | z>>45&4 | z>>60&8
+		mask |= nib << ((i - first) * 4)
+	}
+	// Entries past the last area are zero and never match; a partial
+	// tail area is excluded like in ScanFreeHuge.
+	if tail := a.areas - 1; a.tailFrames(tail) != mem.FramesPerHuge && tail/64 == word {
+		mask &^= 1 << (tail % 64)
+	}
+	return mask
+}
+
+// FreeHugeWords returns the number of 64-area words FreeHugeMask covers.
+func (a *Alloc) FreeHugeWords() uint64 { return (a.areas + 63) / 64 }

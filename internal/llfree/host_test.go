@@ -2,6 +2,8 @@ package llfree
 
 import (
 	"errors"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"hyperalloc/internal/mem"
@@ -262,5 +264,76 @@ func TestEvictedCount(t *testing.T) {
 	}
 	if got := a.FreeHugeNonEvicted(); got != a.Areas()-5 {
 		t.Errorf("FreeHugeNonEvicted = %d", got)
+	}
+}
+
+// maskAreas lists, in ascending order, the areas whose FreeHugeMask bit
+// is set, over every mask word and one word beyond the allocator.
+func maskAreas(a *Alloc) []uint64 {
+	var areas []uint64
+	for w := uint64(0); w <= a.FreeHugeWords(); w++ {
+		for m := a.FreeHugeMask(w); m != 0; m &= m - 1 {
+			areas = append(areas, w*64+uint64(bits.TrailingZeros64(m)))
+		}
+	}
+	return areas
+}
+
+func scanAreas(a *Alloc) []uint64 {
+	var areas []uint64
+	a.ScanFreeHuge(func(area uint64) bool {
+		areas = append(areas, area)
+		return true
+	})
+	return areas
+}
+
+// TestFreeHugeMaskMatchesScan pins the word-wise mask to ScanFreeHuge on
+// every entry shape the SWAR lane test must reject: hard-reclaimed
+// (counter 0, A and E), returned (counter 512 with E), soft-reclaimed,
+// huge-allocated and partly allocated areas, plus a partial tail area in
+// the last mask word.
+func TestFreeHugeMaskMatchesScan(t *testing.T) {
+	const frames = 130*512 + 200 // three mask words, partial tail area 130
+	a := newAlloc(t, frames)
+	host := a.Share()
+	check := func(what string) {
+		t.Helper()
+		if got, want := maskAreas(host), scanAreas(host); !slices.Equal(got, want) {
+			t.Fatalf("%s: mask areas %v, scan %v", what, got, want)
+		}
+	}
+	check("fresh")
+	for _, area := range []uint64{0, 63, 64, 127} {
+		if err := host.ReclaimHard(area); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("hard-reclaimed")
+	if err := host.ReturnHuge(63); err != nil {
+		t.Fatal(err)
+	}
+	if s := host.AreaState(63); s.Free != 512 || !s.Evicted || s.HugeAllocated {
+		t.Fatalf("returned area state %+v, want counter 512 with E", s)
+	}
+	check("returned")
+	if err := host.ReclaimSoft(5); err != nil {
+		t.Fatal(err)
+	}
+	check("soft-reclaimed")
+	if _, err := a.Get(0, mem.HugeOrder, mem.Huge); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Get(0, 0, mem.Movable); err != nil {
+		t.Fatal(err)
+	}
+	check("allocated")
+	host.ClearEvicted(63)
+	check("cleared")
+	if host.FreeHugeMask(2)&(1<<2) != 0 {
+		t.Fatal("partial tail area 130 in the mask")
+	}
+	if got := host.FreeHugeMask(3); got != 0 {
+		t.Fatalf("mask beyond the allocator = %#x", got)
 	}
 }

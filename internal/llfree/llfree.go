@@ -158,6 +158,8 @@ func New(cfg Config) (*Alloc, error) {
 	}
 	areas := (cfg.Frames + mem.FramesPerHuge - 1) / mem.FramesPerHuge
 	trees := (areas + uint64(treeAreas) - 1) / uint64(treeAreas)
+	// The bit field covers whole areas: the claim and count paths walk
+	// all of an area's words, the partial tail area's included.
 	a := &Alloc{
 		frames:    cfg.Frames,
 		areas:     areas,
@@ -165,7 +167,7 @@ func New(cfg Config) (*Alloc, error) {
 		treeAreas: uint64(treeAreas),
 		policy:    cfg.Policy,
 		cpus:      cpus,
-		bitfield:  make([]atomic.Uint64, (cfg.Frames+63)/64),
+		bitfield:  make([]atomic.Uint64, areas*wordsPerArea),
 		areaIdx:   make([]atomic.Uint64, (areas+3)/4),
 		treeIdx:   make([]atomic.Uint32, trees),
 	}
@@ -183,7 +185,7 @@ func New(cfg Config) (*Alloc, error) {
 		free := uint64(mem.FramesPerHuge)
 		if start+free > cfg.Frames {
 			free = cfg.Frames - start
-			for f := cfg.Frames; f < start+mem.FramesPerHuge && f < uint64(len(a.bitfield))*64; f++ {
+			for f := cfg.Frames; f < start+mem.FramesPerHuge; f++ {
 				a.bitfield[f/64].Store(a.bitfield[f/64].Load() | 1<<(f%64))
 			}
 		}

@@ -315,3 +315,29 @@ func TestMetadataBytesDense(t *testing.T) {
 		t.Errorf("area index bytes = %d, want 1024", got)
 	}
 }
+
+// TestPartialTailAreaExhaustion allocates every frame of an allocator
+// whose last area is partial: the claim paths walk the tail area's whole
+// bit field, so it must cover the area beyond the last managed frame.
+func TestPartialTailAreaExhaustion(t *testing.T) {
+	const frames = 2*512 + 3
+	for _, order := range []mem.Order{0, 1, 3} {
+		a := newAlloc(t, frames)
+		var got uint64
+		for {
+			if _, err := a.Get(0, order, mem.Movable); err != nil {
+				if !errors.Is(err, ErrOutOfMemory) {
+					t.Fatalf("order %d: %v", order, err)
+				}
+				break
+			}
+			got += order.Frames()
+		}
+		if want := frames - frames%order.Frames(); got != want {
+			t.Errorf("order %d: allocated %d frames, want %d", order, got, want)
+		}
+		if err := a.Validate(); err != nil {
+			t.Errorf("order %d: %v", order, err)
+		}
+	}
+}

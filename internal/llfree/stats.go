@@ -2,6 +2,7 @@ package llfree
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hyperalloc/internal/mem"
 )
@@ -40,9 +41,11 @@ func (a *Alloc) FreeHugeCount() uint64 {
 // are backed by host memory (E=0) — what the monitor's auto-reclaim scan
 // can take.
 func (a *Alloc) FreeHugeNonEvicted() uint64 {
-	var n uint64
-	a.ScanFreeHuge(func(uint64) bool { n++; return true })
-	return n
+	var n int
+	for w := uint64(0); w < a.FreeHugeWords(); w++ {
+		n += bits.OnesCount64(a.FreeHugeMask(w))
+	}
+	return uint64(n)
 }
 
 // EvictedCount returns the number of huge frames carrying the evicted

@@ -2,6 +2,7 @@ package llfree
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -118,6 +119,12 @@ func TestAreaScanEquivalence(t *testing.T) {
 			if order[i] != want.scanOrder[i] {
 				t.Fatalf("step %d: ScanFreeHuge order diverged at %d: %d vs %d", step, i, order[i], want.scanOrder[i])
 			}
+		}
+		if got := maskAreas(a); !slices.Equal(got, want.scanOrder) {
+			t.Fatalf("step %d: FreeHugeMask areas %v, reference %v", step, got, want.scanOrder)
+		}
+		if got := a.FreeHugeNonEvicted(); got != uint64(len(want.scanOrder)) {
+			t.Fatalf("step %d: FreeHugeNonEvicted=%d, reference %d", step, got, len(want.scanOrder))
 		}
 	}
 	// Early stop must hold too.
