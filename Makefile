@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-snapshot audit trace-smoke migrate-smoke cluster-smoke tier-smoke obs-smoke spec-smoke
+.PHONY: check vet build test race bench bench-snapshot audit trace-smoke migrate-smoke cluster-smoke tier-smoke obs-smoke spec-smoke figures-smoke
 
 # The full pre-commit gate: everything CI runs.
-check: vet build test race migrate-smoke cluster-smoke tier-smoke obs-smoke spec-smoke
+check: vet build test race migrate-smoke cluster-smoke tier-smoke obs-smoke spec-smoke figures-smoke
 
 vet:
 	$(GO) vet ./...
@@ -25,14 +25,14 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # Benchmark trajectory: capture the hot-path microbenchmarks (EPT range
-# ops, scheduler steady state, LLFree churn, batched charging) plus the
-# Fig. 4 matrix throughput, write the snapshot to BENCH_OUT, and gate the
-# dimensionless metrics (range-vs-per-frame speedups, allocs/op) against
-# the latest checked-in BENCH_<n>.json — >10% regression fails. CI runs
-# the short form and uploads BENCH_OUT as an artifact; to check in a new
-# trajectory point, run with BENCH_OUT=BENCH_<n+1>.json on a quiet
-# machine and commit the file. BENCH_FLAGS=-strict additionally gates
-# absolute ns/op and runs/s (same-machine comparisons only).
+# ops, scheduler steady state, LLFree churn, batched charging), write the
+# snapshot to BENCH_OUT, and gate the dimensionless metrics
+# (range-vs-per-frame speedups, allocs/op) against the latest checked-in
+# BENCH_<n>.json — >10% regression fails. CI uploads BENCH_OUT as an
+# artifact; to check in a new trajectory point, run with
+# BENCH_OUT=BENCH_<n+1>.json on a quiet machine and commit the file.
+# BENCH_FLAGS=-strict additionally gates absolute ns/op (same-machine
+# comparisons only).
 BENCH_OUT ?= bench-snapshot.json
 BENCH_FLAGS ?=
 bench-snapshot:
@@ -116,6 +116,29 @@ spec-smoke:
 	$(GO) run ./cmd/cluster -spec specs/demo.json \
 		-checkpoint $(SPEC_PREFIX)-fleet.ckpt -checkpoint-epoch 3
 	$(GO) run ./cmd/cluster -restore $(SPEC_PREFIX)-fleet.ckpt -run 5
+
+# The paper-figure smoke test: every hyperallocbench experiment once at
+# reduced size (the full paper scale takes hours; quick covers table1
+# and ablation), then Fig. 11 at
+# -parallel 1 and -parallel 2 with the two stdouts compared byte for
+# byte — the determinism contract for the matrix experiments.
+# FIGURES_PREFIX overrides the output paths.
+FIGURES_PREFIX ?= figures-smoke
+HAB = $(GO) run ./cmd/hyperallocbench
+FIG11_SMOKE = -exp fig11 -units 60 -builds 1 -gap 3 -offset 2
+figures-smoke:
+	$(HAB) -exp quick -mem 4
+	$(HAB) -exp fig4 -reps 1 -mem 4
+	$(HAB) -exp speedup -reps 1 -mem 4
+	$(HAB) -exp fig5 -threads 1
+	$(HAB) -exp fig6 -threads 1
+	$(HAB) -exp fig7 -reps 1 -units 120
+	$(HAB) -exp fig8 -units 120
+	$(HAB) -exp fig9 -reps 1 -units 120
+	$(HAB) -exp fig10 -reps 1
+	$(HAB) $(FIG11_SMOKE) -parallel 1 > $(FIGURES_PREFIX)-fig11-p1.txt
+	$(HAB) $(FIG11_SMOKE) -parallel 2 > $(FIGURES_PREFIX)-fig11-p2.txt
+	cmp $(FIGURES_PREFIX)-fig11-p1.txt $(FIGURES_PREFIX)-fig11-p2.txt
 
 # The deep invariant gate: long state-machine fuzz runs against all the
 # reference models, plus the paper-scale experiment drivers with the

@@ -1,10 +1,11 @@
 // Command benchsnap captures the repository's performance trajectory: it
 // runs the hot-path microbenchmarks (EPT range ops vs per-frame loops,
 // scheduler steady state and cancel storms, LLFree claim churn, batched
-// cost charging, fleet epoch stepping) plus the Fig. 4 matrix throughput
-// in-process, writes the
-// numbers as a BENCH_<n>.json snapshot, and compares against the latest
-// checked-in snapshot.
+// cost charging, fleet epoch stepping, checkpoint save/restore)
+// in-process, writes the numbers as a BENCH_<n>.json snapshot, and
+// compares against the latest checked-in snapshot. Fig. 4 matrix
+// throughput is measured end to end by perfbench and by
+// `hyperallocbench -exp fig4|speedup`, not here.
 //
 // Two classes of metric get different treatment:
 //
@@ -12,7 +13,7 @@
 //     hardware-independent and are gated on every -compare run: speedups
 //     must not regress more than 10%, allocs/op must match exactly
 //     (steady-state scheduling is pinned to zero allocations).
-//   - Absolute numbers (ns/op, runs/s) are recorded for the trajectory
+//   - Absolute numbers (ns/op) are recorded for the trajectory
 //     but only gated under -strict, because CI hardware differs from the
 //     machine that produced the checked-in snapshot.
 //
@@ -20,7 +21,6 @@
 //
 //	benchsnap -out BENCH_7.json            # capture a new snapshot
 //	benchsnap -compare                     # gate against latest BENCH_*.json
-//	benchsnap -short -compare              # CI: fewer fig4 reps, same gates
 package main
 
 import (
@@ -46,7 +46,6 @@ import (
 	"hyperalloc/internal/obs"
 	"hyperalloc/internal/sim"
 	"hyperalloc/internal/spec"
-	"hyperalloc/internal/workload"
 )
 
 // Snapshot is the checked-in benchmark record.
@@ -54,8 +53,7 @@ type Snapshot struct {
 	Schema int    `json:"schema"`
 	Go     string `json:"go"`
 	CPUs   int    `json:"cpus"`
-	Short  bool   `json:"short"`
-	// Metrics are absolute, hardware-dependent numbers (ns/op, runs/s) —
+	// Metrics are absolute, hardware-dependent numbers (ns/op) —
 	// the trajectory. Gated only under -strict.
 	Metrics map[string]float64 `json:"metrics"`
 	// Gates are dimensionless, hardware-independent numbers (speedup
@@ -66,12 +64,11 @@ type Snapshot struct {
 func main() {
 	out := flag.String("out", "", "write the snapshot to this file (e.g. BENCH_7.json)")
 	compare := flag.Bool("compare", false, "compare against the latest checked-in BENCH_*.json and fail on >10% regression")
-	strict := flag.Bool("strict", false, "also gate absolute ns/op and runs/s (same-machine comparisons only)")
-	short := flag.Bool("short", false, "reduced Fig. 4 reps for CI")
+	strict := flag.Bool("strict", false, "also gate absolute ns/op (same-machine comparisons only)")
 	dir := flag.String("dir", ".", "directory holding the BENCH_*.json snapshots")
 	flag.Parse()
 
-	snap := capture(*short)
+	snap := capture()
 
 	b, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
@@ -104,12 +101,11 @@ func main() {
 }
 
 // capture runs every benchmark and assembles the snapshot.
-func capture(short bool) *Snapshot {
+func capture() *Snapshot {
 	s := &Snapshot{
 		Schema:  1,
 		Go:      runtime.Version(),
 		CPUs:    runtime.NumCPU(),
-		Short:   short,
 		Metrics: map[string]float64{},
 		Gates:   map[string]float64{},
 	}
@@ -154,21 +150,6 @@ func capture(short bool) *Snapshot {
 	s.Metrics["checkpoint_save_ns_op"] = csNs
 	rsNs, _ := run(benchCheckpointRestore)
 	s.Metrics["checkpoint_restore_ns_op"] = rsNs
-
-	reps := 2
-	if short {
-		reps = 1
-	}
-	start := time.Now()
-	results, err := workload.InflateAll(workload.InflateConfig{Reps: reps, Seed: 42})
-	if err != nil {
-		log.Fatal(err)
-	}
-	wall := time.Since(start)
-	runs := len(results) * reps
-	s.Metrics["fig4_runs"] = float64(runs)
-	s.Metrics["fig4_wall_seconds"] = wall.Seconds()
-	s.Metrics["fig4_runs_per_sec"] = float64(runs) / wall.Seconds()
 	return s
 }
 
@@ -515,8 +496,8 @@ func latestSnapshot(dir, exclude string) (*Snapshot, string) {
 }
 
 // compareSnapshots applies the gates: allocs/op keys exactly, other gate
-// keys (speedups) within 10%, and — under strict — absolute metrics
-// within 10% in their respective better-direction.
+// keys (speedups) within 10%, and — under strict — absolute ns/op
+// within 10%.
 func compareSnapshots(prev, cur *Snapshot, strict bool) []string {
 	var errs []string
 	for k, old := range prev.Gates {
@@ -540,18 +521,8 @@ func compareSnapshots(prev, cur *Snapshot, strict bool) []string {
 	}
 	for k, old := range prev.Metrics {
 		now, ok := cur.Metrics[k]
-		if !ok {
-			continue
-		}
-		switch {
-		case isNsKey(k):
-			if now > old*1.1 {
-				errs = append(errs, fmt.Sprintf("%s: %.1f ns/op, snapshot has %.1f (>10%% regression)", k, now, old))
-			}
-		case k == "fig4_runs_per_sec":
-			if now < old*0.9 {
-				errs = append(errs, fmt.Sprintf("%s: %.2f runs/s, snapshot has %.2f (>10%% regression)", k, now, old))
-			}
+		if ok && isNsKey(k) && now > old*1.1 {
+			errs = append(errs, fmt.Sprintf("%s: %.1f ns/op, snapshot has %.1f (>10%% regression)", k, now, old))
 		}
 	}
 	return errs
