@@ -99,8 +99,9 @@ trace-smoke:
 # and assert the two result JSONs are byte-identical — the
 # checkpoint/restore guarantee, exercised end to end through the CLI.
 # The saved checkpoint is itself re-validated (full in-memory restore +
-# cross-layer audit) and uploaded by CI as an artifact. SPEC_PREFIX
-# overrides the output paths.
+# cross-layer audit) and uploaded by CI as an artifact; it must fit in
+# 4 MiB, so a per-frame array cannot creep back into the format.
+# SPEC_PREFIX overrides the output paths.
 SPEC_PREFIX ?= spec-smoke
 spec-smoke:
 	$(GO) run ./cmd/speccheck $(filter-out specs/fleet.json,$(wildcard specs/*.json))
@@ -109,6 +110,7 @@ spec-smoke:
 	$(GO) run ./cmd/broker -spec specs/demo.json \
 		-checkpoint $(SPEC_PREFIX).ckpt -checkpoint-at 4.075 \
 		-json $(SPEC_PREFIX)-full.json
+	test $$(wc -c < $(SPEC_PREFIX).ckpt) -le 4194304
 	$(GO) run ./cmd/speccheck -checkpoint $(SPEC_PREFIX).ckpt
 	$(GO) run ./cmd/broker -restore $(SPEC_PREFIX).ckpt \
 		-json $(SPEC_PREFIX)-restored.json

@@ -52,11 +52,19 @@ type Config struct {
 	ReportingCapacity int
 }
 
-type desc struct {
-	zone  int
-	pfn   mem.PFN
-	order mem.Order
+// Counters are the balloon's experiment counters.
+type Counters struct {
+	Inflations  uint64 `json:",omitempty"`
+	Deflations  uint64 `json:",omitempty"`
+	Reports     uint64 `json:",omitempty"`
+	ReportedOps uint64 `json:",omitempty"`
+	Hypercalls  uint64 `json:",omitempty"`
+	Madvises    uint64 `json:",omitempty"`
 }
+
+// desc is one driver-held (inflated) block: zone index, zone-relative
+// frame and order, as the guest's checkpoints name a block.
+type desc = guest.ChunkState
 
 // Mechanism is the balloon device + driver pair of one VM.
 type Mechanism struct {
@@ -68,13 +76,7 @@ type Mechanism struct {
 	inflated [][]desc
 	queue    *virtioqueue.Queue[desc]
 
-	// Counters.
-	Inflations  uint64
-	Deflations  uint64
-	Reports     uint64
-	ReportedOps uint64
-	Hypercalls  uint64
-	Madvises    uint64
+	Counters
 
 	// track is the "<vm>/mech" trace track (nil when tracing is off).
 	track *trace.Track
@@ -172,10 +174,10 @@ func (m *Mechanism) Shrink(target uint64) error {
 		} else {
 			m.vm.Meter.Work(ledger.Guest, model.BalloonAllocBase)
 		}
-		zi := zoneIndex(zones, z)
-		m.inflated[zi] = append(m.inflated[zi], desc{zi, pfn, order})
+		d := desc{Zone: zoneIndex(zones, z), PFN: pfn, Order: order}
+		m.inflated[d.Zone] = append(m.inflated[d.Zone], d)
 		m.Inflations++
-		m.queue.PushAndKick(desc{zi, pfn, order}, KickBatch)
+		m.queue.PushAndKick(d, KickBatch)
 		m.limit -= order.Size()
 	}
 	m.queue.Kick()
@@ -192,9 +194,9 @@ func (m *Mechanism) discard(batch []desc) {
 	zones := m.vm.Guest.Zones()
 	for _, d := range batch {
 		m.Madvises++
-		gfn := zones[d.zone].GFN(d.pfn)
+		gfn := zones[d.Zone].GFN(d.PFN)
 		cost := model.Syscall
-		if d.order == mem.HugeOrder {
+		if d.Order == mem.HugeOrder {
 			if m.vm.EPT.AreaMapped(gfn.HugeIndex()) > 0 {
 				m.vm.DiscardArea(gfn.HugeIndex())
 				cost += model.EPTUnmapHuge + model.TLBInvalidation
@@ -228,10 +230,10 @@ func (m *Mechanism) Grow(target uint64) error {
 		} else {
 			m.vm.Meter.Work(ledger.Guest, model.BalloonFreeBase)
 		}
-		m.vm.Guest.FreeRaw(zones[d.zone], d.pfn, d.order)
+		m.vm.Guest.FreeRaw(zones[d.Zone], d.PFN, d.Order)
 		m.vm.Meter.Stall(ledger.StallCPU, model.StallPerBalloonFree)
 		m.Deflations++
-		m.limit += d.order.Size()
+		m.limit += d.Order.Size()
 	}
 	return nil
 }
@@ -312,7 +314,7 @@ func (m *Mechanism) InflatedBytes() uint64 {
 	var n uint64
 	for _, l := range m.inflated {
 		for _, d := range l {
-			n += d.order.Size()
+			n += d.Order.Size()
 		}
 	}
 	return n

@@ -3,28 +3,15 @@ package balloon
 import (
 	"fmt"
 
-	"hyperalloc/internal/mem"
+	"hyperalloc/internal/guest"
 )
 
-// DescState is one driver-held (inflated) frame descriptor.
-type DescState struct {
-	Zone  int
-	PFN   mem.PFN
-	Order mem.Order
-}
-
 // MechanismState is the serializable state of a balloon: the per-zone
-// inflated LIFO stacks, the limit, and the counters.
+// inflated LIFO stacks of driver-held blocks, the limit, and the counters.
 type MechanismState struct {
 	Limit    uint64
-	Inflated [][]DescState `json:",omitempty"`
-
-	Inflations  uint64 `json:",omitempty"`
-	Deflations  uint64 `json:",omitempty"`
-	Reports     uint64 `json:",omitempty"`
-	ReportedOps uint64 `json:",omitempty"`
-	Hypercalls  uint64 `json:",omitempty"`
-	Madvises    uint64 `json:",omitempty"`
+	Inflated [][]guest.ChunkState `json:",omitempty"`
+	Counters
 
 	QueueKicks     uint64 `json:",omitempty"`
 	QueueDelivered uint64 `json:",omitempty"`
@@ -38,44 +25,41 @@ func (m *Mechanism) State() (*MechanismState, error) {
 	}
 	st := &MechanismState{
 		Limit:          m.limit,
-		Inflations:     m.Inflations,
-		Deflations:     m.Deflations,
-		Reports:        m.Reports,
-		ReportedOps:    m.ReportedOps,
-		Hypercalls:     m.Hypercalls,
-		Madvises:       m.Madvises,
+		Counters:       m.Counters,
 		QueueKicks:     m.queue.Kicks,
 		QueueDelivered: m.queue.Delivered,
 	}
-	st.Inflated = make([][]DescState, len(m.inflated))
+	st.Inflated = make([][]guest.ChunkState, len(m.inflated))
 	for z, ds := range m.inflated {
-		for _, d := range ds {
-			st.Inflated[z] = append(st.Inflated[z], DescState{Zone: d.zone, PFN: d.pfn, Order: d.order})
-		}
+		st.Inflated[z] = append([]guest.ChunkState(nil), ds...)
 	}
 	return st, nil
 }
 
-// RestoreState overwrites the balloon with a checkpointed state. The
-// guest's allocator state (which holds the inflated frames as allocated)
-// is restored separately.
+// RestoreState overwrites the balloon with a checkpointed state. The guest
+// (allocators, cache, regions) is restored first, so each inflated block
+// is checked by Guest.ResolveBlock and must not repeat.
 func (m *Mechanism) RestoreState(st *MechanismState) error {
 	if len(st.Inflated) != len(m.inflated) {
 		return fmt.Errorf("balloon: restore: %d zones, checkpoint %d", len(m.inflated), len(st.Inflated))
 	}
+	seen := make(map[desc]bool)
 	for z := range m.inflated {
 		m.inflated[z] = m.inflated[z][:0]
 		for _, d := range st.Inflated[z] {
-			m.inflated[z] = append(m.inflated[z], desc{zone: d.Zone, pfn: d.PFN, order: d.Order})
+			if _, err := m.vm.Guest.ResolveBlock(d); err != nil {
+				return fmt.Errorf("balloon: %w", err)
+			}
+			if d.Zone != z || seen[d] {
+				return fmt.Errorf("balloon: restore: block %d of zone %d on zone %d's stack or inflated twice",
+					d.PFN, d.Zone, z)
+			}
+			seen[d] = true
+			m.inflated[z] = append(m.inflated[z], d)
 		}
 	}
 	m.limit = st.Limit
-	m.Inflations = st.Inflations
-	m.Deflations = st.Deflations
-	m.Reports = st.Reports
-	m.ReportedOps = st.ReportedOps
-	m.Hypercalls = st.Hypercalls
-	m.Madvises = st.Madvises
+	m.Counters = st.Counters
 	m.queue.Kicks = st.QueueKicks
 	m.queue.Delivered = st.QueueDelivered
 	return nil

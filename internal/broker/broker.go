@@ -243,12 +243,13 @@ func (b *Broker) Detach(name string) bool {
 // Start schedules the control loop; the first tick fires after one
 // period.
 func (b *Broker) Start() {
-	var tick func()
-	tick = func() {
-		b.Tick()
-		b.event = b.sched.After(b.cfg.Period, "broker/tick", tick)
-	}
-	b.event = b.sched.After(b.cfg.Period, "broker/tick", tick)
+	b.event = b.sched.After(b.cfg.Period, "broker/tick", b.tick)
+}
+
+// tick runs one control cycle and re-arms the next one period later.
+func (b *Broker) tick() {
+	b.Tick()
+	b.event = b.sched.After(b.cfg.Period, "broker/tick", b.tick)
 }
 
 // Stop cancels the control loop.
@@ -483,11 +484,3 @@ func (b *Broker) byName(name string) *managed {
 	}
 	return nil
 }
-
-// DemandSeries returns the sampled demand series of the i-th attached VM
-// (attach order).
-func (b *Broker) DemandSeries(i int) *metrics.Series { return b.vms[i].demand }
-
-// FreeSeries returns the sampled free-memory series of the i-th attached
-// VM (attach order).
-func (b *Broker) FreeSeries(i int) *metrics.Series { return b.vms[i].free }

@@ -30,8 +30,6 @@ type BrokerState struct {
 	VMs      []ManagedState `json:",omitempty"`
 	Events   []Event        `json:",omitempty"`
 	LowTicks int            `json:",omitempty"`
-	// TickArmed records whether the control loop had a pending tick.
-	TickArmed bool `json:",omitempty"`
 
 	Ticks       uint64 `json:",omitempty"`
 	Grows       uint64 `json:",omitempty"`
@@ -45,9 +43,8 @@ type BrokerState struct {
 // State captures the broker.
 func (b *Broker) State() *BrokerState {
 	st := &BrokerState{
-		Events:    append([]Event(nil), b.Events...),
-		LowTicks:  b.lowTicks,
-		TickArmed: b.event.Pending(),
+		Events:   append([]Event(nil), b.Events...),
+		LowTicks: b.lowTicks,
 
 		Ticks:       b.ticks.Value(),
 		Grows:       b.grows.Value(),
@@ -109,10 +106,5 @@ func (b *Broker) RestoreState(st *BrokerState) error {
 // (recorded under "broker/tick") with its original (at, seq).
 func (b *Broker) RestoreTick(at sim.Time, seq uint64) {
 	b.sched.Cancel(b.event)
-	var tick func()
-	tick = func() {
-		b.Tick()
-		b.event = b.sched.After(b.cfg.Period, "broker/tick", tick)
-	}
-	b.event = b.sched.RestoreAt(at, seq, "broker/tick", tick)
+	b.event = b.sched.RestoreAt(at, seq, "broker/tick", b.tick)
 }

@@ -93,16 +93,6 @@ func (a *Alloc) FragmentationRatio() float64 {
 	return float64(a.UsedHugeBytes()) / float64(small)
 }
 
-// AreaUsed returns the number of allocated frames in the given area.
-func (a *Alloc) AreaUsed(area uint64) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if area >= a.areas {
-		return 0
-	}
-	return uint64(a.areaUsed[area])
-}
-
 // Areas returns the number of 2 MiB areas.
 func (a *Alloc) Areas() uint64 { return a.areas }
 
@@ -168,30 +158,9 @@ func (a *Alloc) Validate() error {
 			}
 		}
 	}
-	// Recompute per-area usage from the block headers: a linear walk sees
-	// every frame exactly once — free-list heads skip their block, used
-	// heads tally their block into the areas it covers, and the remaining
-	// header-less frames must be exactly the pcp-cached and offlined ones.
-	usedByArea := make([]uint16, a.areas)
-	var headerless uint64
-	for pfn := uint64(0); pfn < a.frames; {
-		h := a.hdr[pfn]
-		switch {
-		case h&hdrFree != 0:
-			pfn += 1 << (h & hdrOrder)
-		case h&hdrUsed != 0:
-			n := uint64(1) << (h & hdrOrder)
-			if pfn+n > a.frames {
-				return errf("used block %d of order %d overruns the zone", pfn, h&hdrOrder)
-			}
-			for off := uint64(0); off < n; off++ {
-				usedByArea[(pfn+off)/mem.FramesPerHuge]++
-			}
-			pfn += n
-		default:
-			headerless++
-			pfn++
-		}
+	usedByArea, headerless, err := a.walkHeaders()
+	if err != nil {
+		return err
 	}
 	for area := range a.areaUsed {
 		if usedByArea[area] != a.areaUsed[area] {
@@ -202,6 +171,40 @@ func (a *Alloc) Validate() error {
 		return errf("%d header-less frames, expected pcp %d + offline %d", headerless, pcpN, a.offline)
 	}
 	return nil
+}
+
+// walkHeaders recomputes per-area usage from the block headers in one pass.
+// Only block heads carry a header: a used head tallies its block into the
+// areas it covers, a free head must be linked into a list, and every other
+// frame is header-less (block interiors, pcp-cached, offlined). Lock held.
+func (a *Alloc) walkHeaders() (usedByArea []uint16, headerless uint64, err error) {
+	usedByArea = make([]uint16, a.areas)
+	for pfn := uint64(0); pfn < a.frames; {
+		h := a.hdr[pfn]
+		if h == 0 {
+			headerless++
+			pfn++
+			continue
+		}
+		n := uint64(1) << (h & hdrOrder)
+		if h&(hdrFree|hdrUsed) == 0 || h&hdrOrder > maxOrder || pfn+n > a.frames || pfn&(n-1) != 0 {
+			return nil, 0, fmt.Errorf("%w: header %#x at frame %d is not a block head that fits the zone",
+				ErrBadState, h, pfn)
+		}
+		if h&hdrFree != 0 && a.next[pfn] == uint32(pfn) {
+			return nil, 0, fmt.Errorf("%w: free block %d is on no list", ErrBadState, pfn)
+		}
+		for off := uint64(0); off < n; off++ {
+			if off > 0 && a.hdr[pfn+off] != 0 {
+				return nil, 0, fmt.Errorf("%w: header at frame %d inside block %d", ErrBadState, pfn+off, pfn)
+			}
+			if h&hdrFree == 0 {
+				usedByArea[(pfn+off)/mem.FramesPerHuge]++
+			}
+		}
+		pfn += n
+	}
+	return usedByArea, headerless, nil
 }
 
 func errf(format string, args ...any) error {

@@ -13,7 +13,7 @@ func (a *Alloc) BlockUsed(pfn mem.PFN, order mem.Order) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	p := uint64(pfn)
-	if p >= a.frames {
+	if p >= a.frames || uint(order) > maxOrder {
 		return false
 	}
 	return a.hdr[p] == hdrUsed|uint8(order)

@@ -14,26 +14,18 @@ import (
 type MechanismState struct {
 	Limit      uint64
 	AutoPeriod sim.Duration
-	// R holds each zone's reclamation-state array ([]uint8 marshals as
-	// base64).
-	R [][]uint8 `json:",omitempty"`
+	// R holds each zone's reclamation-state array (a uint8 slice, so it
+	// marshals as base64).
+	R [][]ReclaimState `json:",omitempty"`
 
-	HardReclaims   uint64 `json:",omitempty"`
-	SoftReclaims   uint64 `json:",omitempty"`
-	Returns        uint64 `json:",omitempty"`
-	Installs       uint64 `json:",omitempty"`
-	Scans          uint64 `json:",omitempty"`
-	CachePurges    uint64 `json:",omitempty"`
-	UnmapCalls     uint64 `json:",omitempty"`
-	GuestAnomalies uint64 `json:",omitempty"`
-	CacheShrinks   uint64 `json:",omitempty"`
+	Counters
 
 	QueueKicks     uint64 `json:",omitempty"`
 	QueueDelivered uint64 `json:",omitempty"`
 }
 
-// State captures the monitor. Checkpoints are taken between events, where
-// the install queue is drained (installs kick synchronously), so a
+// Snapshot captures the monitor. Checkpoints are taken between events,
+// where the install queue is drained (installs kick synchronously), so a
 // non-empty queue is an error.
 func (m *Mechanism) Snapshot() (*MechanismState, error) {
 	m.mu.Lock()
@@ -44,30 +36,14 @@ func (m *Mechanism) Snapshot() (*MechanismState, error) {
 	st := &MechanismState{
 		Limit:          m.limit,
 		AutoPeriod:     m.AutoPeriod,
-		HardReclaims:   m.HardReclaims,
-		SoftReclaims:   m.SoftReclaims,
-		Returns:        m.Returns,
-		Installs:       m.Installs,
-		Scans:          m.Scans,
-		CachePurges:    m.CachePurges,
-		UnmapCalls:     m.UnmapCalls,
-		GuestAnomalies: m.GuestAnomalies,
-		CacheShrinks:   m.CacheShrinks,
+		Counters:       m.Counters,
 		QueueKicks:     m.queue.Kicks,
 		QueueDelivered: m.queue.Delivered,
 	}
 	for _, zs := range m.zones {
-		st.R = append(st.R, append([]uint8(nil), asBytes(zs.r)...))
+		st.R = append(st.R, append([]ReclaimState(nil), zs.r...))
 	}
 	return st, nil
-}
-
-func asBytes(r []ReclaimState) []uint8 {
-	out := make([]uint8, len(r))
-	for i, v := range r {
-		out[i] = uint8(v)
-	}
-	return out
 }
 
 // RestoreState overwrites the monitor with a checkpointed state. The
@@ -85,23 +61,15 @@ func (m *Mechanism) RestoreState(st *MechanismState) error {
 				i, len(zs.r), len(st.R[i]))
 		}
 		for j, v := range st.R[i] {
-			if ReclaimState(v) > HardReclaimed {
+			if v > HardReclaimed {
 				return fmt.Errorf("core: restore: zone %d area %d: unknown state %d", i, j, v)
 			}
-			zs.r[j] = ReclaimState(v)
+			zs.r[j] = v
 		}
 	}
 	m.limit = st.Limit
 	m.AutoPeriod = st.AutoPeriod
-	m.HardReclaims = st.HardReclaims
-	m.SoftReclaims = st.SoftReclaims
-	m.Returns = st.Returns
-	m.Installs = st.Installs
-	m.Scans = st.Scans
-	m.CachePurges = st.CachePurges
-	m.UnmapCalls = st.UnmapCalls
-	m.GuestAnomalies = st.GuestAnomalies
-	m.CacheShrinks = st.CacheShrinks
+	m.Counters = st.Counters
 	m.queue.Kicks = st.QueueKicks
 	m.queue.Delivered = st.QueueDelivered
 	return nil

@@ -74,6 +74,22 @@ type installReq struct {
 	gArea uint64
 }
 
+// Counters are the monitor's experiment counters.
+type Counters struct {
+	HardReclaims uint64 `json:",omitempty"`
+	SoftReclaims uint64 `json:",omitempty"`
+	Returns      uint64 `json:",omitempty"`
+	Installs     uint64 `json:",omitempty"`
+	Scans        uint64 `json:",omitempty"`
+	CachePurges  uint64 `json:",omitempty"`
+	UnmapCalls   uint64 `json:",omitempty"`
+	// GuestAnomalies counts shared-state corruptions by a non-conforming
+	// guest that the monitor repaired (Sec. 3.2).
+	GuestAnomalies uint64 `json:",omitempty"`
+	// CacheShrinks counts hypervisor-initiated page-cache trims (Sec. 6).
+	CacheShrinks uint64 `json:",omitempty"`
+}
+
 // Mechanism is the HyperAlloc monitor component of one VM.
 type Mechanism struct {
 	vm *vmm.VM
@@ -88,19 +104,7 @@ type Mechanism struct {
 
 	queue *virtioqueue.Queue[installReq]
 
-	// Counters for the experiments.
-	HardReclaims uint64
-	SoftReclaims uint64
-	Returns      uint64
-	Installs     uint64
-	Scans        uint64
-	CachePurges  uint64
-	UnmapCalls   uint64
-	// GuestAnomalies counts shared-state corruptions by a non-conforming
-	// guest that the monitor repaired (Sec. 3.2).
-	GuestAnomalies uint64
-	// CacheShrinks counts hypervisor-initiated page-cache trims (Sec. 6).
-	CacheShrinks uint64
+	Counters
 
 	// track carries the mechanism's spans and instants ("<vm>/mech");
 	// tp mirrors the counters above into the trace registry. Both are nil

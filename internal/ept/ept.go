@@ -28,12 +28,7 @@ type Table struct {
 
 	mappedFrames uint64
 
-	// Operation counters.
-	MapHugeOps   uint64
-	UnmapHugeOps uint64
-	MapBaseOps   uint64
-	UnmapBaseOps uint64
-	Faults       uint64
+	Ops
 
 	// Dirty logging (live migration): while tracking is on, mapped frames
 	// are write-protected and the first write to a clean frame (2 MiB
@@ -77,6 +72,15 @@ func (t *Table) SetTrace(tr *trace.Tracer, name string) {
 		mapped:    reg.Gauge(name + "/mapped_bytes"),
 	}
 	t.tp.mapped.Set(int64(t.MappedBytes()))
+}
+
+// Ops counts the table's operations.
+type Ops struct {
+	MapHugeOps   uint64 `json:",omitempty"`
+	UnmapHugeOps uint64 `json:",omitempty"`
+	MapBaseOps   uint64 `json:",omitempty"`
+	UnmapBaseOps uint64 `json:",omitempty"`
+	Faults       uint64 `json:",omitempty"`
 }
 
 type area struct {

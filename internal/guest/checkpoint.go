@@ -19,18 +19,17 @@ type ChunkState struct {
 // RegionState is a serialized Region. Regions are owned by the workload
 // (the guest holds no region list), so the checkpointing scenario captures
 // and restores each region it holds via Region.State / Guest.RestoreRegion
-// and keeps them in its own deterministic order.
+// and keeps them in its own deterministic order. Restore sums its size.
 type RegionState struct {
 	Chunks []ChunkState `json:",omitempty"`
-	Bytes  uint64
-	Freed  bool `json:",omitempty"`
+	Freed  bool         `json:",omitempty"`
 }
 
-// FileState is one cached file, in LRU position order.
+// FileState is one cached file, in LRU position order. The file's size is
+// its page count times the page size, recomputed on restore.
 type FileState struct {
 	Name   string
 	Pages  []ChunkState `json:",omitempty"`
-	Bytes  uint64
 	LastAt uint64
 }
 
@@ -45,11 +44,11 @@ type ZoneAllocState struct {
 
 // GuestState is the serializable state of a Guest: per-zone allocator
 // words, the page cache, and the pressure counters. Region contents are
-// captured separately by their owner (see RegionState).
+// captured separately by their owner (see RegionState). The cache size is
+// the sum of the file sizes, recomputed on restore.
 type GuestState struct {
 	Zones         []ZoneAllocState `json:",omitempty"`
 	Files         []FileState      `json:",omitempty"`
-	CacheBytes    uint64           `json:",omitempty"`
 	CacheClock    uint64           `json:",omitempty"`
 	Evictions     uint64           `json:",omitempty"`
 	OOMKills      uint64           `json:",omitempty"`
@@ -59,7 +58,7 @@ type GuestState struct {
 
 // State captures the region (for the workload that owns it).
 func (r *Region) State() RegionState {
-	st := RegionState{Bytes: r.bytes, Freed: r.freed}
+	st := RegionState{Freed: r.freed}
 	for _, c := range r.chunks {
 		st.Chunks = append(st.Chunks, r.guest.chunkState(c))
 	}
@@ -75,25 +74,48 @@ func (g *Guest) chunkState(c chunk) ChunkState {
 	panic("guest: chunk in unknown zone")
 }
 
-func (g *Guest) chunkOf(cs ChunkState) (chunk, error) {
+// ResolveBlock checks a checkpointed region chunk, cached page or balloon
+// block and returns its zone. The block must be aligned and inside the
+// zone, held by the zone's allocator as one allocation of exactly its
+// order (which bounds the order), and owned by no region or file yet.
+func (g *Guest) ResolveBlock(cs ChunkState) (*Zone, error) {
 	if cs.Zone < 0 || cs.Zone >= len(g.zones) {
-		return chunk{}, fmt.Errorf("guest: restore: zone %d out of range", cs.Zone)
+		return nil, fmt.Errorf("guest: restore: zone %d out of range", cs.Zone)
 	}
-	return chunk{zone: g.zones[cs.Zone], pfn: cs.PFN, order: cs.Order}, nil
+	z, p := g.zones[cs.Zone], uint64(cs.PFN)
+	var held bool
+	switch impl := z.Impl.(type) {
+	case *buddy.Alloc:
+		held = impl.BlockUsed(cs.PFN, cs.Order)
+	case *LLFreeAdapter: // LLFree records no order: check the head frame and the huge flag
+		held = cs.Order <= mem.HugeOrder && impl.A.FrameAllocated(p) &&
+			impl.A.AreaState(p/mem.FramesPerHuge).HugeAllocated == (cs.Order == mem.HugeOrder)
+	}
+	switch {
+	case p >= z.Frames || cs.Order.Frames() > z.Frames-p || !cs.PFN.AlignedTo(uint(cs.Order)):
+		return nil, fmt.Errorf("guest: restore: order-%d block %d is misaligned or passes the end of zone %d",
+			cs.Order, p, cs.Zone)
+	case !held:
+		return nil, fmt.Errorf("guest: restore: zone %d holds no order-%d allocation at %d", cs.Zone, cs.Order, p)
+	case g.rmap[rmapKey{z, cs.PFN}] != rmapOwner{}:
+		return nil, fmt.Errorf("guest: restore: block %d of zone %d has two owners", p, cs.Zone)
+	}
+	return z, nil
 }
 
 // RestoreRegion reconstructs a region from its checkpointed state,
 // re-linking the rmap entries. The underlying frames must already be
 // allocated (the zone allocator state is restored first).
 func (g *Guest) RestoreRegion(st RegionState) (*Region, error) {
-	r := &Region{guest: g, bytes: st.Bytes, freed: st.Freed}
+	r := &Region{guest: g, freed: st.Freed}
 	for _, cs := range st.Chunks {
-		c, err := g.chunkOf(cs)
+		z, err := g.ResolveBlock(cs)
 		if err != nil {
 			return nil, err
 		}
-		r.chunks = append(r.chunks, c)
-		g.rmapSet(c.zone, c.pfn, rmapOwner{region: r, idx: int32(len(r.chunks) - 1)})
+		r.chunks = append(r.chunks, chunk{z, cs.PFN, cs.Order})
+		r.bytes += cs.Order.Size()
+		g.rmapSet(z, cs.PFN, rmapOwner{region: r, idx: int32(len(r.chunks) - 1)})
 	}
 	return r, nil
 }
@@ -101,7 +123,6 @@ func (g *Guest) RestoreRegion(st RegionState) (*Region, error) {
 // State captures the guest (allocators, cache, counters).
 func (g *Guest) State() (*GuestState, error) {
 	st := &GuestState{
-		CacheBytes:    g.cache.bytes,
 		CacheClock:    g.cache.clock,
 		Evictions:     g.cache.Evictions,
 		OOMKills:      g.OOMKills,
@@ -122,7 +143,7 @@ func (g *Guest) State() (*GuestState, error) {
 		st.Zones = append(st.Zones, zs)
 	}
 	for _, f := range g.cache.lru {
-		fs := FileState{Name: f.name, Bytes: f.bytes, LastAt: f.lastAt}
+		fs := FileState{Name: f.name, LastAt: f.lastAt}
 		for _, p := range f.pages {
 			fs.Pages = append(fs.Pages, g.chunkState(p))
 		}
@@ -163,22 +184,27 @@ func (g *Guest) RestoreState(st *GuestState) error {
 		}
 	}
 	g.rmap = nil
+	g.cache.bytes = 0
 	g.cache.files = make(map[string]*cachedFile, len(st.Files))
 	g.cache.lru = g.cache.lru[:0]
 	for _, fs := range st.Files {
-		f := &cachedFile{name: fs.Name, bytes: fs.Bytes, lastAt: fs.LastAt}
+		if _, dup := g.cache.files[fs.Name]; dup {
+			return fmt.Errorf("guest: restore: file %q cached twice", fs.Name)
+		}
+		f := &cachedFile{name: fs.Name, lastAt: fs.LastAt}
 		for _, ps := range fs.Pages {
-			c, err := g.chunkOf(ps)
+			z, err := g.ResolveBlock(ps)
 			if err != nil {
 				return err
 			}
-			f.pages = append(f.pages, c)
-			g.rmapSet(c.zone, c.pfn, rmapOwner{file: f, idx: int32(len(f.pages) - 1)})
+			f.pages = append(f.pages, chunk{z, ps.PFN, ps.Order})
+			f.bytes += ps.Order.Size()
+			g.rmapSet(z, ps.PFN, rmapOwner{file: f, idx: int32(len(f.pages) - 1)})
 		}
+		g.cache.bytes += f.bytes
 		g.cache.files[f.name] = f
 		g.cache.lru = append(g.cache.lru, f)
 	}
-	g.cache.bytes = st.CacheBytes
 	g.cache.clock = st.CacheClock
 	g.cache.Evictions = st.Evictions
 	g.OOMKills = st.OOMKills

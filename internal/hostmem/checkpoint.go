@@ -10,13 +10,9 @@ type VMState struct {
 	Swapped [NumTiers]uint64
 }
 
-// BackendState is one tier's backend counters.
-type BackendState struct {
-	Stored  uint64
-	Traffic Traffic
-}
-
-// PoolState is the serializable state of a Pool.
+// PoolState is the serializable state of a Pool. Restore sums each tier's
+// backend stored bytes from the VMs' Swapped; Total stays stored for the
+// fleet loader's capacity check, and Validate cross-checks it.
 type PoolState struct {
 	Capacity     uint64
 	DefaultTier  uint8
@@ -25,10 +21,10 @@ type PoolState struct {
 	SwapOutBytes uint64
 	SwapInBytes  uint64
 	VMs          []VMState `json:",omitempty"`
-	Backends     [NumTiers]BackendState
+	Backends     [NumTiers]Traffic
 }
 
-// restoreCounters is implemented by every built-in backend through the
+// restorableBackend is implemented by every built-in backend through the
 // embedded counters struct.
 type restorableBackend interface {
 	restoreCounters(stored uint64, tr Traffic)
@@ -53,7 +49,7 @@ func (p *Pool) State() *PoolState {
 		st.VMs = append(st.VMs, VMState{Name: e.name, RSS: e.rss, Tier: uint8(e.tier), Swapped: e.swapped})
 	}
 	for t := Tier(0); t < NumTiers; t++ {
-		st.Backends[t] = BackendState{Stored: p.backends[t].Stored(), Traffic: p.backends[t].Traffic()}
+		st.Backends[t] = p.backends[t].Traffic()
 	}
 	return st
 }
@@ -72,6 +68,7 @@ func (p *Pool) RestoreState(st *PoolState) error {
 	p.SwapInBytes = st.SwapInBytes
 	p.vms = make(map[string]*entry, len(st.VMs))
 	p.order = make([]*entry, 0, len(st.VMs))
+	var stored [NumTiers]uint64
 	for _, v := range st.VMs {
 		if Tier(v.Tier) >= NumTiers {
 			return fmt.Errorf("hostmem: restore: vm %q on unknown tier %d", v.Name, v.Tier)
@@ -80,6 +77,9 @@ func (p *Pool) RestoreState(st *PoolState) error {
 			return fmt.Errorf("hostmem: restore: vm %q listed twice", v.Name)
 		}
 		p.insert(&entry{name: v.Name, rss: v.RSS, tier: Tier(v.Tier), swapped: v.Swapped})
+		for t, b := range v.Swapped {
+			stored[t] += b
+		}
 	}
 	for t := Tier(0); t < NumTiers; t++ {
 		rb, ok := p.backends[t].(restorableBackend)
@@ -87,7 +87,7 @@ func (p *Pool) RestoreState(st *PoolState) error {
 			return fmt.Errorf("hostmem: restore: tier %s backend %T cannot be restored",
 				t, p.backends[t])
 		}
-		rb.restoreCounters(st.Backends[t].Stored, st.Backends[t].Traffic)
+		rb.restoreCounters(stored[t], st.Backends[t])
 	}
 	if p.tp != nil {
 		p.tp.total.Set(int64(p.total))

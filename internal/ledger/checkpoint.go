@@ -36,7 +36,3 @@ func (l *Ledger) RestoreState(st *LedgerState) {
 		l.maxDur[k] = st.MaxDur[k]
 	}
 }
-
-// Frozen reports whether the meter currently records without advancing the
-// clock (checkpointed so a restore reproduces benchmark setup phases).
-func (m *Meter) Frozen() bool { return m.frozen }

@@ -15,16 +15,15 @@ import (
 	"hyperalloc/internal/guest"
 	"hyperalloc/internal/hostmem"
 	"hyperalloc/internal/ledger"
-	"hyperalloc/internal/report"
 	"hyperalloc/internal/sim"
 	"hyperalloc/internal/trace"
 	"hyperalloc/internal/virtiomem"
 	"hyperalloc/internal/vmm"
 )
 
-// CheckpointVersion is the checkpoint format version; Restore rejects
-// newer files.
-const CheckpointVersion = 1
+// CheckpointVersion is the checkpoint format version: 2 stores only state
+// restore cannot derive (DESIGN.md §16). LoadCheckpoint rejects others.
+const CheckpointVersion = 2
 
 // VMState is one VM's checkpointed state: the guest (allocators, page
 // cache, counters), the EPT, the time ledger, and the
@@ -130,11 +129,17 @@ func (s *Sim) Capture() (*Checkpoint, error) {
 	return cp, nil
 }
 
-// Bytes serializes the checkpoint as stable-key JSON.
-func (cp *Checkpoint) Bytes() ([]byte, error) { return report.JSONBytes(cp) }
+// Bytes serializes the checkpoint as compact stable-key JSON.
+func (cp *Checkpoint) Bytes() ([]byte, error) { return json.Marshal(cp) }
 
-// SaveCheckpoint writes the checkpoint to path.
-func (cp *Checkpoint) Save(path string) error { return report.WriteJSON(path, cp) }
+// Save writes the checkpoint to path.
+func (cp *Checkpoint) Save(path string) error {
+	data, err := cp.Bytes()
+	if err == nil {
+		err = os.WriteFile(path, data, 0o644)
+	}
+	return err
+}
 
 // LoadCheckpoint reads a checkpoint file.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
@@ -146,8 +151,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err := json.Unmarshal(data, cp); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if cp.Version > CheckpointVersion {
-		return nil, fmt.Errorf("%s: checkpoint version %d newer than supported %d",
+	if cp.Version != CheckpointVersion {
+		return nil, fmt.Errorf("%s: checkpoint version %d, this build reads only version %d",
 			path, cp.Version, CheckpointVersion)
 	}
 	if cp.Scenario == nil {

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"hyperalloc/internal/buddy"
+	"hyperalloc/internal/guest"
 	"hyperalloc/internal/report"
 	"hyperalloc/internal/sim"
 )
@@ -160,10 +163,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsTampering: a checkpoint whose state sections were
-// corrupted must fail the restore-time audit (audit.ValidateSpec), not
-// continue silently.
-func TestRestoreRejectsTampering(t *testing.T) {
+// TestRestoreRejectsCorruption: a checkpoint with one corrupted field
+// must fail Restore with an error — not panic, not hang, not restore
+// silently. The pool-RSS row is caught by the restore-time audit
+// (audit.ValidateSpec); the others by the component restores.
+func TestRestoreRejectsCorruption(t *testing.T) {
 	s, err := Build(testScenario(5), BuildOptions{Trace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -173,13 +177,144 @@ func TestRestoreRejectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Desync host accounting from the EPT: the pool thinks the first VM
-	// is one huge frame lighter than its mapped state.
-	cp.Pool.VMs[0].RSS -= 2 << 20
-	cp.Pool.Total -= 2 << 20
-	if _, err := Restore(cp, BuildOptions{}); err == nil {
-		t.Fatal("tampered checkpoint restored without error")
+	data, err := cp.Bytes()
+	if err != nil {
+		t.Fatal(err)
 	}
+	rows := []struct {
+		name    string
+		corrupt func(t *testing.T, cp *Checkpoint)
+	}{
+		{"pool-rss", func(t *testing.T, cp *Checkpoint) {
+			// Desync host accounting from the EPT: the pool thinks the
+			// first VM is one huge frame lighter than its mapped state.
+			cp.Pool.VMs[0].RSS -= 2 << 20
+			cp.Pool.Total -= 2 << 20
+		}},
+		{"free-pfn-out-of-range", func(t *testing.T, cp *Checkpoint) {
+			b, list := freeList(t, cp)
+			(*list)[0] = uint32(b.Frames)
+		}},
+		{"free-pfn-listed-twice", func(t *testing.T, cp *Checkpoint) {
+			_, list := freeList(t, cp)
+			*list = append(*list, (*list)[0])
+		}},
+		{"free-pfn-header-used", func(t *testing.T, cp *Checkpoint) {
+			// List the head of a region chunk, which the header marks used.
+			vs, c := regionChunk(t, cp, "vmem0")
+			b := vs.Guest.Zones[c.Zone].Buddy
+			b.Free[c.Order][0] = append(b.Free[c.Order][0], uint32(c.PFN))
+		}},
+		{"header-inside-block", func(t *testing.T, cp *Checkpoint) {
+			// Copy a used block's head header onto a frame inside it.
+			vs, c := regionChunk(t, cp, "vmem0")
+			if c.Order == 0 {
+				t.Fatal("first vmem0 chunk has no interior")
+			}
+			b := vs.Guest.Zones[c.Zone].Buddy
+			b.Hdr[c.PFN+1] = b.Hdr[c.PFN]
+		}},
+		{"pageblock-migratetype", func(t *testing.T, cp *Checkpoint) {
+			b, _ := freeList(t, cp)
+			b.BlockMT[0] = 7
+		}},
+		{"free-header-unlisted", func(t *testing.T, cp *Checkpoint) {
+			_, list := freeList(t, cp)
+			*list = (*list)[1:]
+		}},
+		{"region-order-32", func(t *testing.T, cp *Checkpoint) {
+			_, c := regionChunk(t, cp, "ha0")
+			c.Order = 32
+		}},
+		{"region-pfn-2^40", func(t *testing.T, cp *Checkpoint) {
+			_, c := regionChunk(t, cp, "ha0")
+			c.PFN = 1 << 40
+		}},
+		{"region-chunk-not-held", func(t *testing.T, cp *Checkpoint) {
+			_, c := regionChunk(t, cp, "vmem0")
+			c.Order++
+		}},
+		{"region-chunk-owned-twice", func(t *testing.T, cp *Checkpoint) {
+			vs, c := regionChunk(t, cp, "ha0")
+			r := &vs.Workload.Regions[len(vs.Workload.Regions)-1]
+			r.Chunks = append(r.Chunks, *c)
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cp := &Checkpoint{}
+			if err := unmarshalCheckpoint(data, cp); err != nil {
+				t.Fatal(err)
+			}
+			row.corrupt(t, cp)
+			type outcome struct {
+				err   error
+				panic any
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				defer func() {
+					if p := recover(); p != nil {
+						done <- outcome{panic: p}
+					}
+				}()
+				_, err := Restore(cp, BuildOptions{})
+				done <- outcome{err: err}
+			}()
+			select {
+			case o := <-done:
+				switch {
+				case o.panic != nil:
+					t.Fatalf("restore panicked: %v", o.panic)
+				case o.err == nil:
+					t.Fatal("corrupted checkpoint restored without error")
+				}
+				t.Logf("rejected: %v", o.err)
+			case <-time.After(30 * time.Second):
+				t.Fatal("restore did not return within 30 s")
+			}
+		})
+	}
+}
+
+// freeList returns the first buddy zone state in the checkpoint and its
+// first non-empty free list.
+func freeList(t *testing.T, cp *Checkpoint) (*buddy.AllocState, *[]uint32) {
+	t.Helper()
+	for _, vs := range cp.VMs {
+		for _, zs := range vs.Guest.Zones {
+			if zs.Buddy == nil {
+				continue
+			}
+			for order := range zs.Buddy.Free {
+				for mt := range zs.Buddy.Free[order] {
+					if list := &zs.Buddy.Free[order][mt]; len(*list) > 0 {
+						return zs.Buddy, list
+					}
+				}
+			}
+		}
+	}
+	t.Fatal("checkpoint has no non-empty buddy free list")
+	return nil, nil
+}
+
+// regionChunk returns the named VM's state and the first chunk of its
+// workload's regions.
+func regionChunk(t *testing.T, cp *Checkpoint, vm string) (*VMState, *guest.ChunkState) {
+	t.Helper()
+	for _, vs := range cp.VMs {
+		if vs.Name != vm || vs.Workload == nil {
+			continue
+		}
+		for _, r := range vs.Workload.Regions {
+			if len(r.Chunks) > 0 {
+				return vs, &r.Chunks[0]
+			}
+		}
+	}
+	t.Fatalf("VM %q has no region chunk", vm)
+	return nil, nil
 }
 
 // TestCaptureRejectsVFIO: VFIO runs have no IOMMU serialization and

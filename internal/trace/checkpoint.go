@@ -211,15 +211,3 @@ func (r *Registry) restoreState(st *TracerState) error {
 	}
 	return nil
 }
-
-// RegistryState captures a standalone registry (used by components whose
-// counters live outside any tracer).
-func (r *Registry) RegistryState() *TracerState {
-	cs, gs, hs := r.state()
-	return &TracerState{Counters: cs, Gauges: gs, Hists: hs}
-}
-
-// RestoreRegistryState restores instruments captured by RegistryState.
-func (r *Registry) RestoreRegistryState(st *TracerState) error {
-	return r.restoreState(st)
-}

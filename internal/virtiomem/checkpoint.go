@@ -8,26 +8,15 @@ import "fmt"
 type MechanismState struct {
 	Limit   uint64
 	Plugged []bool `json:",omitempty"`
-
-	Plugs            uint64 `json:",omitempty"`
-	Unplugs          uint64 `json:",omitempty"`
-	MigratedBytes    uint64 `json:",omitempty"`
-	SkippedUnplugs   uint64 `json:",omitempty"`
-	AutoTicks        uint64 `json:",omitempty"`
-	PrepopulatedHuge uint64 `json:",omitempty"`
+	Counters
 }
 
 // State captures the device.
 func (m *Mechanism) State() *MechanismState {
 	return &MechanismState{
-		Limit:            m.limit,
-		Plugged:          append([]bool(nil), m.plugged...),
-		Plugs:            m.Plugs,
-		Unplugs:          m.Unplugs,
-		MigratedBytes:    m.MigratedBytes,
-		SkippedUnplugs:   m.SkippedUnplugs,
-		AutoTicks:        m.AutoTicks,
-		PrepopulatedHuge: m.PrepopulatedHuge,
+		Limit:    m.limit,
+		Plugged:  append([]bool(nil), m.plugged...),
+		Counters: m.Counters,
 	}
 }
 
@@ -38,11 +27,6 @@ func (m *Mechanism) RestoreState(st *MechanismState) error {
 	}
 	copy(m.plugged, st.Plugged)
 	m.limit = st.Limit
-	m.Plugs = st.Plugs
-	m.Unplugs = st.Unplugs
-	m.MigratedBytes = st.MigratedBytes
-	m.SkippedUnplugs = st.SkippedUnplugs
-	m.AutoTicks = st.AutoTicks
-	m.PrepopulatedHuge = st.PrepopulatedHuge
+	m.Counters = st.Counters
 	return nil
 }

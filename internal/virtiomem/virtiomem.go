@@ -42,6 +42,16 @@ type Config struct {
 	AutoHeadroomHuge uint64
 }
 
+// Counters are the device's experiment counters.
+type Counters struct {
+	Plugs            uint64 `json:",omitempty"`
+	Unplugs          uint64 `json:",omitempty"`
+	MigratedBytes    uint64 `json:",omitempty"`
+	SkippedUnplugs   uint64 `json:",omitempty"`
+	AutoTicks        uint64 `json:",omitempty"`
+	PrepopulatedHuge uint64 `json:",omitempty"`
+}
+
 // Mechanism is the virtio-mem device + driver pair of one VM.
 type Mechanism struct {
 	vm      *vmm.VM
@@ -52,12 +62,7 @@ type Mechanism struct {
 	plugged []bool
 	limit   uint64
 
-	// Counters.
-	Plugs, Unplugs   uint64
-	MigratedBytes    uint64
-	SkippedUnplugs   uint64
-	AutoTicks        uint64
-	PrepopulatedHuge uint64
+	Counters
 
 	// track is the "<vm>/mech" trace track (nil when tracing is off).
 	track *trace.Track

@@ -228,20 +228,35 @@ func (vm *VM) StartAuto(sched *sim.Scheduler) {
 	if delay <= 0 {
 		return
 	}
+	vm.autoEvent = sched.After(delay, vm.Name+"/auto", vm.autoTick(sched))
+}
+
+// autoTick returns the auto-reclamation tick: one mechanism cycle, then
+// re-arm after the delay it asks for (none ends the chain).
+func (vm *VM) autoTick(sched *sim.Scheduler) func() {
 	var tick func()
 	tick = func() {
-		d := vm.Mech.AutoTick()
-		if d > 0 {
+		if d := vm.Mech.AutoTick(); d > 0 {
 			vm.autoEvent = sched.After(d, vm.Name+"/auto", tick)
 		}
 	}
-	vm.autoEvent = sched.After(delay, vm.Name+"/auto", tick)
+	return tick
 }
 
 // StopAuto cancels the automatic-reclamation cycle.
 func (vm *VM) StopAuto(sched *sim.Scheduler) {
 	sched.Cancel(vm.autoEvent)
 	vm.autoEvent = sim.Handle{}
+}
+
+// RestoreAuto re-arms the automatic-reclamation tick chain from a
+// checkpoint: the pending event recorded under "<name>/auto" is
+// re-registered with its original (at, seq) so it fires exactly when the
+// uninterrupted run's would have. Subsequent ticks reschedule through the
+// normal After path.
+func (vm *VM) RestoreAuto(sched *sim.Scheduler, at sim.Time, seq uint64) {
+	sched.Cancel(vm.autoEvent)
+	vm.autoEvent = sched.RestoreAt(at, seq, vm.Name+"/auto", vm.autoTick(sched))
 }
 
 // adjustPool reconciles the host pool with an RSS delta. When the host is
@@ -349,13 +364,6 @@ func (vm *VM) chargeFaultHuge(frames uint64) {
 	bytes := frames * mem.PageSize
 	m.Work(ledger.Host, mod.EPTFaultExit+mod.EPTMapHuge+mod.PopulateCost(bytes))
 	m.Bus(bytes)
-}
-
-// chargeFaultBase accounts one base-page EPT fault.
-func (vm *VM) chargeFaultBase() {
-	m, mod := vm.Meter, vm.Model
-	m.Work(ledger.Host, mod.EPTFaultExit+mod.EPTMapBase+mod.PopulateCost(mem.PageSize))
-	m.Bus(mem.PageSize)
 }
 
 // chargeFaultBaseRange accounts frames base-page EPT faults in three meter
