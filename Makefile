@@ -1,9 +1,14 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-snapshot audit trace-smoke migrate-smoke cluster-smoke tier-smoke obs-smoke spec-smoke figures-smoke
+.PHONY: check fmt vet build test race bench bench-snapshot audit trace-smoke migrate-smoke cluster-smoke tier-smoke obs-smoke spec-smoke figures-smoke
 
 # The full pre-commit gate: everything CI runs.
-check: vet build test race migrate-smoke cluster-smoke tier-smoke obs-smoke spec-smoke figures-smoke
+check: fmt vet build test race migrate-smoke cluster-smoke tier-smoke obs-smoke spec-smoke figures-smoke
+
+# The formatting gate: fails if gofmt would change any Go file
+# (`gofmt -l .` lists them).
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -104,8 +109,7 @@ trace-smoke:
 # SPEC_PREFIX overrides the output paths.
 SPEC_PREFIX ?= spec-smoke
 spec-smoke:
-	$(GO) run ./cmd/speccheck $(filter-out specs/fleet.json,$(wildcard specs/*.json))
-	$(GO) run ./cmd/speccheck -hosts 12 specs/fleet.json
+	$(GO) run ./cmd/speccheck $(wildcard specs/*.json)
 	$(GO) run ./cmd/speccheck -ids
 	$(GO) run ./cmd/broker -spec specs/demo.json \
 		-checkpoint $(SPEC_PREFIX).ckpt -checkpoint-at 4.075 \
@@ -115,9 +119,6 @@ spec-smoke:
 	$(GO) run ./cmd/broker -restore $(SPEC_PREFIX).ckpt \
 		-json $(SPEC_PREFIX)-restored.json
 	cmp $(SPEC_PREFIX)-full.json $(SPEC_PREFIX)-restored.json
-	$(GO) run ./cmd/cluster -spec specs/demo.json \
-		-checkpoint $(SPEC_PREFIX)-fleet.ckpt -checkpoint-epoch 3
-	$(GO) run ./cmd/cluster -restore $(SPEC_PREFIX)-fleet.ckpt -run 5
 
 # The paper-figure smoke test: every hyperallocbench experiment once at
 # reduced size (the full paper scale takes hours; quick covers table1

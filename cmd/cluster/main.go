@@ -16,15 +16,6 @@
 //	        [-trace-summary] [-trace-sample F] [-backend nvme|zswap|far]
 //	        [-report PREFIX] [-cascade] [-vms-per-host N]
 //	        [-epochs N] [-surge-at N]
-//	cluster -spec FILE [-hosts N] [-checkpoint FILE -checkpoint-epoch N]
-//	cluster -restore FILE [-run SEC]
-//
-// -spec admits a declarative scenario file's VMs (internal/spec typed
-// admission — infeasible specs are rejected before placement) onto a
-// fresh fleet and runs it for the spec's Duration; -checkpoint saves a
-// fleet checkpoint at the named epoch barrier. -restore validates such
-// a checkpoint, re-admits its recorded VMs, and runs on for -run
-// seconds.
 //
 // -backend selects the hostmem tier that absorbs every host's evictions
 // (default nvme, the pre-tier swap device).
@@ -54,7 +45,6 @@ import (
 	"log"
 	"os"
 
-	"hyperalloc/internal/cluster"
 	"hyperalloc/internal/cmdutil"
 	"hyperalloc/internal/hostmem"
 	"hyperalloc/internal/mem"
@@ -62,7 +52,6 @@ import (
 	"hyperalloc/internal/profiling"
 	"hyperalloc/internal/report"
 	"hyperalloc/internal/sim"
-	"hyperalloc/internal/spec"
 	"hyperalloc/internal/workload"
 )
 
@@ -121,18 +110,9 @@ func main() {
 	vmsPerHost := flag.Int("vms-per-host", 0, "cascade: VMs per host (0 = default 8)")
 	epochs := flag.Int("epochs", 0, "cascade: run length in epochs (0 = default 48)")
 	surgeAt := flag.Int("surge-at", 0, "cascade: epoch the demand surge lands (0 = default 12)")
-	specPath := flag.String("spec", "", "admit a declarative scenario spec into a fleet and run it instead of the matrix")
-	checkpointPath := flag.String("checkpoint", "", "with -spec: save a fleet checkpoint to this file at an epoch barrier")
-	checkpointEpoch := flag.Int("checkpoint-epoch", 3, "with -checkpoint: the epoch barrier the snapshot lands on")
-	restorePath := flag.String("restore", "", "validate a fleet checkpoint and re-admit its VMs onto a fresh fleet")
 	flag.Parse()
 
 	seed, parallel, jsonPath := &common.Seed, &common.Parallel, &common.JSON
-	if *specPath != "" || *restorePath != "" {
-		runFleetSpec(*specPath, *restorePath, *checkpointPath, *checkpointEpoch,
-			*hosts, *runSec, *jsonPath, *seed)
-		return
-	}
 	backend, err := hostmem.ParseTier(*backendName)
 	if err != nil {
 		log.Fatal(err)
@@ -258,97 +238,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println("wrote", *jsonPath)
-	}
-}
-
-// runFleetSpec drives the declarative fleet path: admit a scenario
-// file's VMs through typed admission onto a fresh fleet and run it,
-// optionally saving a fleet checkpoint at an epoch barrier — or load a
-// checkpoint (validated on load), re-admit its recorded VMs, and run on
-// from there.
-func runFleetSpec(specPath, restorePath, checkpointPath string, checkpointEpoch,
-	hosts int, runSec float64, jsonPath string, seed uint64) {
-	var c *cluster.Cluster
-	var duration sim.Duration
-	switch {
-	case restorePath != "":
-		cp, err := cluster.LoadFleetCheckpoint(restorePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("fleet checkpoint valid: epoch %d at t=%s, %d hosts, %d VMs, %d in flight\n",
-			cp.Epoch, cp.At, len(cp.Hosts), len(cp.VMs), cp.InFlight)
-		c = cluster.New(cluster.Config{
-			Hosts:     len(cp.Hosts),
-			HostBytes: cp.Hosts[0].Capacity,
-			Seed:      seed,
-		})
-		for _, v := range cp.SpecVMs() {
-			if _, _, err := c.AdmitSpec(v); err != nil {
-				log.Fatal(err)
-			}
-		}
-		duration = sim.Duration(pickF(runSec, 10) * float64(sim.Second))
-	default:
-		sc, err := spec.Load(specPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		n := pick(hosts, 4)
-		// Scenario-level admission with the fleet's aggregate capacity:
-		// the spec's HostMemory is per-host here, and VMs spread across
-		// hosts (AdmitSpec re-checks the per-host fit VM by VM below).
-		fleet := *sc
-		fleet.HostMemory = sc.HostMemory * uint64(n)
-		if fs := spec.Admit(&fleet); len(fs) > 0 {
-			for _, f := range fs {
-				fmt.Fprintln(os.Stderr, "admission:", f.Error())
-			}
-			os.Exit(1)
-		}
-		cfg := cluster.Config{
-			Hosts:     n,
-			HostBytes: sc.HostMemory,
-			Seed:      sc.Seed,
-		}
-		if sc.Broker != nil {
-			cfg.Policy = spec.PolicyByName(sc.Broker.Policy)
-			cfg.BrokerPeriod = sc.Broker.Period
-			cfg.MinLimit = sc.Broker.MinLimit
-		}
-		c = cluster.New(cfg)
-		for i := range sc.VMs {
-			if _, idx, err := c.AdmitSpec(sc.VMs[i]); err != nil {
-				log.Fatal(err)
-			} else {
-				fmt.Printf("admitted %s -> host %d\n", sc.VMs[i].Name, idx)
-			}
-		}
-		duration = sc.Duration
-	}
-
-	epoch := 0
-	err := c.RunFor(duration, func(c *cluster.Cluster) error {
-		epoch++
-		if checkpointPath != "" && restorePath == "" && epoch == checkpointEpoch {
-			if err := c.SaveCheckpoint(checkpointPath); err != nil {
-				return err
-			}
-			fmt.Printf("fleet checkpoint at epoch %d -> %s\n", epoch, checkpointPath)
-		}
-		return nil
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := c.Metrics()
-	fmt.Printf("fleet run done: %d epochs, %.1f host-GiB-min, %d admissions, %d migrations, peak %d hosts\n",
-		m.Epochs, m.HostGiBMin, m.Admissions, m.Migrations, m.PeakActiveHosts)
-	if jsonPath != "" {
-		if err := report.WriteJSON(jsonPath, &m); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("wrote", jsonPath)
 	}
 }
 

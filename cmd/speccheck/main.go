@@ -1,19 +1,14 @@
 // Command speccheck validates declarative scenario spec files without
 // running anything: each file is parsed (unknown fields are errors) and
 // run through the admission validators, and every failure is printed
-// with its stable ID — the same IDs the broker and cluster admission
-// paths return, so a spec that passes here is a spec they will accept.
+// with its stable ID — the same IDs spec.Build returns, so a spec that
+// passes here is a spec `broker -spec` will accept.
 //
 // Usage:
 //
-//	speccheck FILE...        # validate each file; exit 1 if any fails
-//	speccheck -hosts N FILE  # validate a fleet spec against N hosts
-//	speccheck -ids           # print the failure-ID catalogue
-//
-// -hosts scales the aggregate capacity check the same way the cluster
-// driver does when it places one spec across N hosts: the sum of memory
-// floors is admitted against N x HostMemory instead of a single host.
-// Per-VM fit against one host is still enforced.
+//	speccheck FILE...              # validate each file; exit 1 if any fails
+//	speccheck -checkpoint FILE...  # restore each checkpoint in memory
+//	speccheck -ids                 # print the failure-ID catalogue
 //
 // With -checkpoint, each FILE is loaded as a simulation checkpoint
 // instead: the embedded scenario is re-admitted and the full state is
@@ -32,7 +27,6 @@ import (
 func main() {
 	ids := flag.Bool("ids", false, "print the catalogue of stable admission failure IDs and exit")
 	checkpoint := flag.Bool("checkpoint", false, "treat the files as simulation checkpoints: validate and restore them in memory")
-	hosts := flag.Int("hosts", 1, "admit fleet specs against this many hosts of HostMemory each")
 	flag.Parse()
 
 	if *ids {
@@ -48,7 +42,7 @@ func main() {
 
 	bad := 0
 	for _, path := range flag.Args() {
-		if err := check(path, *checkpoint, *hosts); err != nil {
+		if err := check(path, *checkpoint); err != nil {
 			bad++
 			if fe, ok := err.(*spec.FailureError); ok {
 				for _, f := range fe.Failures {
@@ -66,7 +60,7 @@ func main() {
 	}
 }
 
-func check(path string, checkpoint bool, hosts int) error {
+func check(path string, checkpoint bool) error {
 	if checkpoint {
 		cp, err := spec.LoadCheckpoint(path)
 		if err != nil {
@@ -83,24 +77,6 @@ func check(path string, checkpoint bool, hosts int) error {
 	sc, err := spec.Load(path)
 	if err != nil {
 		return err
-	}
-	if hosts > 1 && sc.HostMemory != 0 {
-		// Fleet admission, exactly as the cluster driver performs it:
-		// the aggregate floors are checked against hosts x HostMemory,
-		// and each VM must still fit a single host on its own.
-		fleet := *sc
-		fleet.HostMemory = sc.HostMemory * uint64(hosts)
-		if fs := spec.Admit(&fleet); len(fs) > 0 {
-			return spec.AsError(fs)
-		}
-		var fs []spec.Failure
-		for _, v := range sc.VMs {
-			fs = append(fs, spec.AdmitVM(v, sc.HostMemory)...)
-		}
-		if len(fs) > 0 {
-			return spec.AsError(fs)
-		}
-		return nil
 	}
 	if fs := spec.Admit(sc); len(fs) > 0 {
 		return spec.AsError(fs)

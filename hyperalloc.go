@@ -411,12 +411,3 @@ func (vm *VM) NewPricingPolicy(value pricing.CacheValue, priceFn func(sim.Time) 
 	}
 	return p
 }
-
-// MechanismName returns the candidate's display name ("HyperAlloc+VFIO"
-// style) or "baseline".
-func (vm *VM) MechanismName() string {
-	if vm.Mech == nil {
-		return string(CandidateBaseline)
-	}
-	return vm.Mech.Name()
-}

@@ -133,7 +133,7 @@ type NVMe struct{ counters }
 // NewNVMe returns a local NVMe-class swap backend.
 func NewNVMe() *NVMe { return &NVMe{} }
 
-func (*NVMe) Name() string              { return TierNVMe.String() }
+func (*NVMe) Name() string                { return TierNVMe.String() }
 func (*NVMe) Charge(stored uint64) uint64 { return 0 }
 func (*NVMe) IOCost(m *costmodel.Model, out, in uint64) time.Duration {
 	return m.SwapCost(out + in)
@@ -178,7 +178,7 @@ type FarMemory struct{ counters }
 // NewFarMemory returns a far-memory backend over the migration link model.
 func NewFarMemory() *FarMemory { return &FarMemory{} }
 
-func (*FarMemory) Name() string              { return TierFar.String() }
+func (*FarMemory) Name() string                { return TierFar.String() }
 func (*FarMemory) Charge(stored uint64) uint64 { return 0 }
 func (*FarMemory) IOCost(m *costmodel.Model, out, in uint64) time.Duration {
 	cost := m.MigLinkCost(out + in)

@@ -11,8 +11,9 @@ type VMState struct {
 }
 
 // PoolState is the serializable state of a Pool. Restore sums each tier's
-// backend stored bytes from the VMs' Swapped; Total stays stored for the
-// fleet loader's capacity check, and Validate cross-checks it.
+// backend stored bytes from the VMs' Swapped; Total stays stored as a
+// fault-detection value that Validate cross-checks against the VMs' RSS
+// plus the backend charges.
 type PoolState struct {
 	Capacity     uint64
 	DefaultTier  uint8

@@ -1,6 +1,10 @@
 package ledger
 
-import "hyperalloc/internal/sim"
+import (
+	"fmt"
+
+	"hyperalloc/internal/sim"
+)
 
 // LedgerState is the serializable state of a Ledger: per kind, the entry
 // stream (parallel Start/Amount slices keep the JSON compact) and the
@@ -26,8 +30,16 @@ func (l *Ledger) State() *LedgerState {
 	return st
 }
 
-// RestoreState overwrites the ledger with a checkpointed state.
-func (l *Ledger) RestoreState(st *LedgerState) {
+// RestoreState overwrites the ledger with a checkpointed state. A kind
+// whose Start and Amount slices differ in length is rejected before
+// anything is overwritten.
+func (l *Ledger) RestoreState(st *LedgerState) error {
+	for k := range st.Start {
+		if len(st.Start[k]) != len(st.Amount[k]) {
+			return fmt.Errorf("ledger: kind %d has %d starts but %d amounts",
+				k, len(st.Start[k]), len(st.Amount[k]))
+		}
+	}
 	for k := range l.entries {
 		l.entries[k] = l.entries[k][:0]
 		for i := range st.Start[k] {
@@ -35,4 +47,5 @@ func (l *Ledger) RestoreState(st *LedgerState) {
 		}
 		l.maxDur[k] = st.MaxDur[k]
 	}
+	return nil
 }

@@ -95,10 +95,10 @@ func BenchmarkClaimBits(b *testing.B) {
 		order uint
 		fill  uint64 // words 0..6 are preset to this pattern
 	}{
-		{"order0-dense", 0, ^uint64(0)},         // full words; free bit in word 7
+		{"order0-dense", 0, ^uint64(0)},               // full words; free bit in word 7
 		{"order2-alternating", 2, 0xCCCCCCCCCCCCCCCC}, // 1100..: no free 4-run
-		{"order4-pinned", 4, 0x8000800080008000}, // one busy bit per 16-group: no free 16-run
-		{"order6-sparse", 6, 1},                 // one busy bit kills the 64-run
+		{"order4-pinned", 4, 0x8000800080008000},      // one busy bit per 16-group: no free 16-run
+		{"order6-sparse", 6, 1},                       // one busy bit kills the 64-run
 	}
 	for _, p := range patterns {
 		b.Run(p.name, func(b *testing.B) {

@@ -5,7 +5,6 @@ import (
 
 	"hyperalloc/internal/hostmem"
 	"hyperalloc/internal/mem"
-	"hyperalloc/internal/sim"
 )
 
 // Stable admission-failure IDs. These are API: tests pin them, callers
@@ -332,22 +331,6 @@ func Admit(sc *Scenario) []Failure {
 		fs = append(fs, v.check(sc)...)
 	}
 	return fs
-}
-
-// AdmitVM runs the admission table against a single VM spec on a host
-// with the given capacity (0 = unlimited) — the entry point the cluster
-// placer uses before best-fit scoring, and brokers before attach. The
-// VM is wrapped in a minimal synthetic scenario, so every per-VM and
-// host-capacity validator applies; scenario-level rules about names and
-// durations are satisfied by the wrapper.
-func AdmitVM(v VMSpec, hostMemory uint64) []Failure {
-	return Admit(&Scenario{
-		Version:    FormatVersion,
-		Name:       "admit:" + v.Name,
-		HostMemory: hostMemory,
-		Duration:   sim.Second,
-		VMs:        []VMSpec{v},
-	})
 }
 
 // FailureIDs lists every stable admission-failure ID (the catalogue for

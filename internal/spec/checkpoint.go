@@ -197,7 +197,9 @@ func Restore(cp *Checkpoint, opts BuildOptions) (*Sim, error) {
 		if err := vm.EPT.RestoreState(vs.EPT); err != nil {
 			return nil, fmt.Errorf("spec: restoring EPT %q: %w", vm.Name, err)
 		}
-		vm.Meter.Ledger().RestoreState(vs.Ledger)
+		if err := vm.Meter.Ledger().RestoreState(vs.Ledger); err != nil {
+			return nil, fmt.Errorf("spec: restoring ledger %q: %w", vm.Name, err)
+		}
 		switch {
 		case vm.HyperAlloc != nil && vs.HyperAlloc != nil:
 			err = vm.HyperAlloc.RestoreState(vs.HyperAlloc)

@@ -239,6 +239,19 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 			r := &vs.Workload.Regions[len(vs.Workload.Regions)-1]
 			r.Chunks = append(r.Chunks, *c)
 		}},
+		{"ledger-amount-short", func(t *testing.T, cp *Checkpoint) {
+			// Drop the last amount of a kind's entry stream, leaving
+			// one Start without its Amount.
+			for _, vs := range cp.VMs {
+				for k, a := range vs.Ledger.Amount {
+					if len(a) > 0 {
+						vs.Ledger.Amount[k] = a[:len(a)-1]
+						return
+					}
+				}
+			}
+			t.Fatal("checkpoint has no ledger entries")
+		}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -25,12 +25,12 @@ type workload struct {
 	vm  *hyperalloc.VM
 	sp  *VMSpec
 
-	regions []*guest.Region
-	target  uint64
-	ticks   uint64
-	files   uint64
+	regions   []*guest.Region
+	target    uint64
+	ticks     uint64
+	files     uint64
 	allocErrs uint64
-	event   sim.Handle
+	event     sim.Handle
 }
 
 // eventName is the driver's scheduler event name ("spec/<vm>/tick"),
@@ -195,8 +195,8 @@ type Result struct {
 	End       sim.Time
 	PoolTotal uint64
 	PoolPeak  uint64
-	SwapOut   uint64 `json:",omitempty"`
-	SwapIn    uint64 `json:",omitempty"`
+	SwapOut   uint64        `json:",omitempty"`
+	SwapIn    uint64        `json:",omitempty"`
 	Broker    *BrokerResult `json:",omitempty"`
 	VMs       []VMResult
 }

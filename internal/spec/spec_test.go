@@ -2,6 +2,9 @@ package spec
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"hyperalloc/internal/mem"
@@ -266,4 +269,95 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if _, err := Parse([]byte(`{"Version":1,"Bogus":3}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+}
+
+// TestSpecFiles: every checked-in spec loads, admits clean and is
+// canonical (the file on disk equals its own Bytes()), and an
+// infeasible edit of one is refused by Build with a typed failure
+// before anything is constructed.
+func TestSpecFiles(t *testing.T) {
+	paths, err := filepath.Glob("../../specs/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no spec files found: %v", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := Parse(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if fs := Admit(sc); len(fs) > 0 {
+			t.Fatalf("%s: rejected: %v", path, fs)
+		}
+		if out, err := sc.Bytes(); err != nil || !bytes.Equal(out, data) {
+			t.Fatalf("%s: not canonical (Bytes() differs from the file): %v", path, err)
+		}
+	}
+
+	sc, err := Load("../../specs/demo.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.VMs[0].VFIO = true
+	sc.VMs[0].Postcopy = true
+	s, err := Build(sc, BuildOptions{})
+	var fe *FailureError
+	if !errors.As(err, &fe) || s != nil {
+		t.Fatalf("want *FailureError and no simulation, got %v", err)
+	}
+	if fe.Failures[0].ID != SpecVFIOPostcopyID {
+		t.Fatalf("want %s, got %s", SpecVFIOPostcopyID, fe.Failures[0].ID)
+	}
+}
+
+// FuzzParse: Parse either returns an error or a scenario that Admit
+// can judge without panicking and whose Bytes() re-parse to identical
+// bytes. The seeds are the checked-in demo spec and shapes the tests
+// above reject.
+func FuzzParse(f *testing.F) {
+	demo, err := os.ReadFile("../../specs/demo.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(demo)
+	vfio := testScenario(1)
+	vfio.VMs[0].VFIO = true
+	vfio.VMs[0].Postcopy = true
+	noVMs := testScenario(1)
+	noVMs.VMs = nil
+	for _, sc := range []*Scenario{testScenario(1), vfio, noVMs} {
+		data, err := sc.Bytes()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"Version":1,"Bogus":3}`))
+	f.Add([]byte(`{"Version":2}`))
+	f.Add([]byte(`{"VMs":[{"Name":"a","MemoryMin":1,"MemoryMax":0}],"Broker":{"Policy":"vibes"}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := Parse(data)
+		if err != nil {
+			return
+		}
+		Admit(sc)
+		out, err := sc.Bytes()
+		if err != nil {
+			t.Fatalf("Bytes on a parsed scenario: %v", err)
+		}
+		back, err := Parse(out)
+		if err != nil {
+			t.Fatalf("re-parsing Bytes(): %v\n%s", err, out)
+		}
+		out2, err := back.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, out2) {
+			t.Fatalf("Bytes() not stable across a re-parse:\n%s\nvs\n%s", out, out2)
+		}
+	})
 }

@@ -56,7 +56,7 @@ type TracerState struct {
 	// the internal track ids — and thus the exported byte stream — match.
 	Tracks []string `json:",omitempty"`
 	// Rejected names the track filter declined (cached nil entries).
-	Rejected []string `json:",omitempty"`
+	Rejected []string         `json:",omitempty"`
 	Events   []EventState     `json:",omitempty"`
 	Counters []CounterState   `json:",omitempty"`
 	Gauges   []GaugeState     `json:",omitempty"`
