@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-snapshot audit trace-smoke migrate-smoke cluster-smoke tier-smoke obs-smoke spec-smoke figures-smoke
+.PHONY: check fmt vet build test race bench audit trace-smoke migrate-smoke cluster-smoke tier-smoke obs-smoke spec-smoke figures-smoke
 
 # The full pre-commit gate: everything CI runs.
 check: fmt vet build test race migrate-smoke cluster-smoke tier-smoke obs-smoke spec-smoke figures-smoke
@@ -22,26 +22,15 @@ test:
 # The concurrency-sensitive packages: the lock-free allocator, the
 # parallel experiment runner, and the fleet coordinator, whose host
 # groups write EPT state (populated bitmaps included) between barriers
-# while the coordinator's scorer reads it at barriers.
+# while the coordinator's scorer reads it at barriers. The second line
+# runs the workload tests that drive those host groups end to end:
+# fleets, observability, migration, tiering and the cascade.
 race:
 	$(GO) test -race ./internal/llfree ./internal/runner ./internal/ept ./internal/cluster
+	$(GO) test -race -run 'Fleet|Obs|Migrate|Tiering|Cascade' ./internal/workload
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
-
-# Benchmark trajectory: capture the hot-path microbenchmarks (EPT range
-# ops, scheduler steady state, LLFree churn, batched charging), write the
-# snapshot to BENCH_OUT, and gate the dimensionless metrics
-# (range-vs-per-frame speedups, allocs/op) against the latest checked-in
-# BENCH_<n>.json — >10% regression fails. CI uploads BENCH_OUT as an
-# artifact; to check in a new trajectory point, run with
-# BENCH_OUT=BENCH_<n+1>.json on a quiet machine and commit the file.
-# BENCH_FLAGS=-strict additionally gates absolute ns/op (same-machine
-# comparisons only).
-BENCH_OUT ?= bench-snapshot.json
-BENCH_FLAGS ?=
-bench-snapshot:
-	$(GO) run ./cmd/benchsnap $(BENCH_FLAGS) -compare -out $(BENCH_OUT)
 
 # The live-migration smoke test: the three-strategy matrix at reduced
 # scale with the two-host conservation auditor on, emitting both the

@@ -776,8 +776,10 @@ func (c *Cluster) inFlight(name string) bool {
 }
 
 // beginMigration picks a destination for the VM and arms the engine on
-// the source scheduler. With no destination (single-host fleets), the VM
-// is handed back to its broker.
+// the source scheduler. With no destination (single-host fleets), or when
+// the engine refuses the VM (a strategy it cannot serve, such as
+// hyperalloc-skip on a guest without shared LLFree state), the VM is
+// handed back to its broker and no flight starts.
 func (c *Cluster) beginMigration(src *Host, vm *hyperalloc.VM, reason string) {
 	if vm == nil || c.inFlight(vm.Name) {
 		return
@@ -796,11 +798,13 @@ func (c *Cluster) beginMigration(src *Host, vm *hyperalloc.VM, reason string) {
 		MaxRounds:      c.cfg.MaxRounds,
 		Audit:          c.cfg.Audit,
 	})
-	if err != nil {
-		panic("cluster: " + err.Error())
+	if err == nil {
+		err = eng.Start()
 	}
-	if err := eng.Start(); err != nil {
-		panic("cluster: " + err.Error())
+	if err != nil {
+		src.Broker.Attach(vm.VM, c.prio[vm.Name])
+		c.track.Instant("migrate_refused", trace.String("vm", vm.Name), trace.String("err", err.Error()))
+		return
 	}
 	c.flights = append(c.flights, &flight{eng: eng, vm: vm, src: src.Index, dst: dst, reason: reason, started: c.clock.Now()})
 	if forced {

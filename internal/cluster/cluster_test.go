@@ -195,6 +195,41 @@ func TestDrainMovesEveryVM(t *testing.T) {
 	}
 }
 
+// TestDrainRefusedMigrationKeepsVM: the default hyperalloc-skip strategy
+// cannot move a virtio-mem guest (no shared LLFree state). Draining its
+// host must hand the VM back to its broker and record the refusal, not
+// panic mid-epoch, start a flight or count a migration.
+func TestDrainRefusedMigrationKeepsVM(t *testing.T) {
+	tr := trace.New()
+	c := cluster.New(cluster.Config{Hosts: 2, HostBytes: 8 * mem.GiB, Trace: tr})
+	vm := spec("vmem0")
+	vm.Candidate = hyperalloc.CandidateVirtioMem
+	if _, idx, err := c.Admit(vm); err != nil || idx != 0 {
+		t.Fatalf("admit: host %d, err %v", idx, err)
+	}
+	c.Drain(0)
+	if err := c.RunFor(4*sim.Second, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.HostOf("vmem0"); got != 0 {
+		t.Fatalf("vmem0 on host %d, want 0 (migration refused)", got)
+	}
+	if m := c.Metrics(); m.Migrations != 0 || m.DrainMoves != 0 || c.InFlight() != 0 {
+		t.Fatalf("migrations %d / drain moves %d / in flight %d, want 0/0/0",
+			m.Migrations, m.DrainMoves, c.InFlight())
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"migrate_refused"`)) {
+		t.Fatal("trace records no migrate_refused instant")
+	}
+	if !c.Host(0).Broker.Detach("vmem0") {
+		t.Fatal("vmem0 was not handed back to its broker")
+	}
+}
+
 // TestEvacuationClosesTheLoop: host pressure -> broker watermark ->
 // outbox -> cluster migration -> destination broker adoption. The full
 // federated path, audited every simulated second.

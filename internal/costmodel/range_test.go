@@ -27,6 +27,19 @@ func TestChargeRangeEquivalence(t *testing.T) {
 	}
 }
 
+// TestChargeRangeZeroAlloc gates the batched charge every range API
+// calls at zero allocations.
+func TestChargeRangeZeroAlloc(t *testing.T) {
+	m := Default()
+	var sink time.Duration
+	if avg := testing.AllocsPerRun(1000, func() {
+		sink += m.ChargeRange(512, OpFaultBase)
+	}); avg != 0 {
+		t.Fatalf("ChargeRange(512) allocates %v per call, want 0", avg)
+	}
+	_ = sink
+}
+
 // TestOpCostMatchesPerFrameCharges pins the composite ops to the exact
 // expressions the per-frame charge paths used, including the truncating
 // bandwidth-derived populate cost.

@@ -87,9 +87,8 @@ func (g *Guest) ResolveBlock(cs ChunkState) (*Zone, error) {
 	switch impl := z.Impl.(type) {
 	case *buddy.Alloc:
 		held = impl.BlockUsed(cs.PFN, cs.Order)
-	case *LLFreeAdapter: // LLFree records no order: check the head frame and the huge flag
-		held = cs.Order <= mem.HugeOrder && impl.A.FrameAllocated(p) &&
-			impl.A.AreaState(p/mem.FramesPerHuge).HugeAllocated == (cs.Order == mem.HugeOrder)
+	case *LLFreeAdapter: // LLFree records no order: every frame of the block must be held
+		held = impl.A.BlockAllocated(p, cs.Order)
 	}
 	switch {
 	case p >= z.Frames || cs.Order.Frames() > z.Frames-p || !cs.PFN.AlignedTo(uint(cs.Order)):

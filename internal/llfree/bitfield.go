@@ -3,6 +3,8 @@ package llfree
 import (
 	"math/bits"
 	"sync/atomic"
+
+	"hyperalloc/internal/mem"
 )
 
 // Bit-field operations. Each area owns 8 consecutive uint64 words (512
@@ -201,23 +203,35 @@ func (a *Alloc) releaseBits(area, offset uint64, order uint) bool {
 	return true
 }
 
-// frameAllocated reports whether the frame's bit is set. Huge-allocated
-// areas keep their bits clear (the huge flag is authoritative), so callers
-// must check the area entry too; FrameAllocated does both.
-func (a *Alloc) frameBit(pfn uint64) bool {
-	return a.bitfield[pfn/64].Load()&(1<<(pfn%64)) != 0
-}
-
-// FrameAllocated reports whether the base frame is currently allocated,
-// either individually or as part of a huge allocation.
-func (a *Alloc) FrameAllocated(pfn uint64) bool {
-	if pfn >= a.frames {
+// BlockAllocated reports whether the aligned 2^order block at pfn is held
+// the way one allocation of that order leaves it: the area's huge flag at
+// the huge order, otherwise every one of the block's bits set in an area
+// that is not huge-allocated (huge areas keep their bits clear). Orders
+// 0..6 test one word under a mask; orders 7 and 8 test 2 or 4 whole
+// words. Out-of-range, misaligned or larger-than-huge blocks are never
+// held.
+func (a *Alloc) BlockAllocated(pfn uint64, order mem.Order) bool {
+	if order > mem.HugeOrder || pfn >= a.frames || order.Frames() > a.frames-pfn || pfn%order.Frames() != 0 {
 		return false
 	}
-	if areaHuge(a.areaLoad(pfn / 512)) {
-		return true
+	huge := areaHuge(a.areaLoad(pfn / mem.FramesPerHuge))
+	if order == mem.HugeOrder {
+		return huge
 	}
-	return a.frameBit(pfn)
+	if huge { // a huge allocation holds no smaller block
+		return false
+	}
+	n := order.Frames()
+	if n < 64 {
+		mask := (uint64(1)<<n - 1) << (pfn % 64)
+		return a.bitfield[pfn/64].Load()&mask == mask
+	}
+	for w := pfn / 64; w < (pfn+n)/64; w++ {
+		if a.bitfield[w].Load() != ^uint64(0) {
+			return false
+		}
+	}
+	return true
 }
 
 // countFreeBits returns the number of zero bits in the area's bit field

@@ -93,7 +93,7 @@ func TestGetPutBase(t *testing.T) {
 	if f.Evicted {
 		t.Error("fresh frame marked evicted")
 	}
-	if !a.FrameAllocated(uint64(f.PFN)) {
+	if !a.BlockAllocated(uint64(f.PFN), 0) {
 		t.Error("allocated frame not marked allocated")
 	}
 	if a.FreeFrames() != testFrames-1 {
@@ -102,7 +102,7 @@ func TestGetPutBase(t *testing.T) {
 	if err := a.Put(0, f.PFN, 0); err != nil {
 		t.Fatal(err)
 	}
-	if a.FrameAllocated(uint64(f.PFN)) {
+	if a.BlockAllocated(uint64(f.PFN), 0) {
 		t.Error("freed frame still allocated")
 	}
 	if a.FreeFrames() != testFrames {
@@ -138,10 +138,8 @@ func TestGetAllOrders(t *testing.T) {
 		if !f.PFN.AlignedTo(uint(order)) {
 			t.Errorf("order %d: pfn %d misaligned", order, f.PFN)
 		}
-		for i := uint64(0); i < order.Frames(); i++ {
-			if !a.FrameAllocated(uint64(f.PFN) + i) {
-				t.Errorf("order %d: frame %d not allocated", order, i)
-			}
+		if !a.BlockAllocated(uint64(f.PFN), order) {
+			t.Errorf("order %d: block at %d not allocated", order, f.PFN)
 		}
 		if err := a.Put(0, f.PFN, order); err != nil {
 			t.Fatalf("put order %d: %v", order, err)

@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkObsRollup measures the rollup hot path: one Observe rolling
-// through a host series into its fleet parent. benchsnap gates this at
-// 0 allocs/op (obs_rollup_allocs_op) and tracks obs_rollup_ns_op.
+// through a host series into its fleet parent. TestObserveZeroAlloc
+// gates the same path at 0 allocs/op.
 func BenchmarkObsRollup(b *testing.B) {
 	p := NewPipeline(Config{Resolution: sim.Second, Window: 120})
 	fleet := p.Gauge("fleet/rss_bytes", nil)
@@ -23,7 +23,7 @@ func BenchmarkObsRollup(b *testing.B) {
 
 // BenchmarkObsAlertScan measures a full rule sweep at fleet scale: 128
 // hosts, each with a burn-rate and a thrash rule, plus one cascade
-// rule. benchsnap tracks obs_alert_scan_ns_op.
+// rule.
 func BenchmarkObsAlertScan(b *testing.B) {
 	p := NewPipeline(Config{Resolution: sim.Second, Window: 120})
 	for h := 0; h < 128; h++ {

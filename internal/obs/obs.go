@@ -19,7 +19,7 @@
 // migrate, so a static parent chain would mis-attribute them); per-host
 // series chain to fleet series via parents, so one Observe call rolls a
 // sample up the host → fleet hierarchy with zero allocations on the
-// steady-state path (bench_test.go gates this at 0 allocs/op).
+// steady-state path (TestObserveZeroAlloc gates this at 0 allocs/op).
 package obs
 
 import (

@@ -97,8 +97,9 @@ func TestMemoryBound(t *testing.T) {
 	}
 }
 
-// TestObserveZeroAlloc gates the hot path at zero allocations — the
-// same discipline the scheduler hot path is held to (BENCH_6).
+// TestObserveZeroAlloc gates the rollup hot path (a host series rolling
+// into its fleet parent) at zero allocations, the same discipline as
+// the scheduler's TestSchedulerSteadyStateZeroAlloc.
 func TestObserveZeroAlloc(t *testing.T) {
 	p := NewPipeline(Config{Window: 32})
 	fleet := p.Gauge("fleet/rss", nil)

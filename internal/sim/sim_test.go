@@ -161,6 +161,47 @@ func TestSchedulerHandleReuse(t *testing.T) {
 	}
 }
 
+// TestSchedulerSteadyStateZeroAlloc gates the chained-After hot path of
+// BenchmarkSchedulerSteadyState at zero allocations: on a warm scheduler
+// Step recycles the record before the callback runs, so the reschedule
+// pops the same record straight back off the free list.
+func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
+	s := NewScheduler()
+	var tick func()
+	tick = func() { s.After(Millisecond, "tick", tick) }
+	s.After(Millisecond, "tick", tick)
+	for i := 0; i < 64; i++ { // warm the free list and heap storage
+		s.Step()
+	}
+	if avg := testing.AllocsPerRun(1000, func() { s.Step() }); avg != 0 {
+		t.Fatalf("steady-state Step allocates %v per op, want 0", avg)
+	}
+}
+
+// TestSchedulerCancelHeavyZeroAlloc gates the cancel-dominated pattern
+// (timers armed and cancelled before they fire, over a fleet-sized
+// standing queue) at zero allocations once the free list is warm.
+func TestSchedulerCancelHeavyZeroAlloc(t *testing.T) {
+	s := NewScheduler()
+	noop := func() {}
+	for i := 0; i < 4096; i++ {
+		s.After(Duration(i+1)*Second, "standing", noop)
+	}
+	handles := make([]Handle, 64)
+	cycle := func() {
+		for j := range handles {
+			handles[j] = s.After(Duration(j+1)*Millisecond, "victim", noop)
+		}
+		for _, h := range handles {
+			s.Cancel(h)
+		}
+	}
+	cycle() // warm the free list
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("64 After + 64 Cancel allocate %v per cycle, want 0", avg)
+	}
+}
+
 func TestSchedulerRunUntil(t *testing.T) {
 	s := NewScheduler()
 	var count int
